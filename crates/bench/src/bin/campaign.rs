@@ -81,13 +81,13 @@ fn main() -> std::io::Result<()> {
 
     let mixes = if quick_requested() { 3 } else { 16 };
     eprintln!("[3/6] Fig. 21 (#PB sweep, {mixes} mixes per multi-core count)");
-    let s = PbSensitivity::run_paper(&rc, mixes);
+    let s = PbSensitivity::run_paper_reusing(&rc, mixes, &report);
     write("fig21_pb_sensitivity.txt", s.to_string())?;
     write("fig21_pb_sensitivity.csv", pb_sensitivity_csv(&s))?;
 
     let mixes22 = if quick_requested() { 4 } else { 32 };
     eprintln!("[4/6] Fig. 22 (multi-core, {mixes22} mixes per count)");
-    let m = MulticoreEffects::run_paper(&rc, mixes22);
+    let m = MulticoreEffects::run_paper_reusing(&rc, mixes22, &report);
     write("fig22_multicore.txt", m.to_string())?;
     write("fig22_multicore.csv", multicore_csv(&m))?;
 

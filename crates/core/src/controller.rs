@@ -731,14 +731,6 @@ impl<S: TraceSink, M: MetricsSink> MemoryController<S, M> {
         self.wheel.overflow_len()
     }
 
-    /// The queues' slot-release epoch (see
-    /// [`RequestQueues::release_epoch`]): system loops compare it to
-    /// know when a cached "core blocked on a full queue" wake bound
-    /// must be discarded.
-    pub fn queue_release_epoch(&self) -> u64 {
-        self.queues.release_epoch()
-    }
-
     /// How many cycles from `now` are provably quiet and could be
     /// skipped in one step (0 when unknown or when the current cycle
     /// needs a real tick). Lockstep multi-channel drivers take the min
@@ -2433,7 +2425,16 @@ impl<S: TraceSink, M: MetricsSink> MemoryController<S, M> {
         let done = self
             .device
             .issue(cand.command, self.now)
-            .unwrap_or_else(|e| panic!("scheduler issued illegal command {}: {e}", cand.command));
+            .unwrap_or_else(|e| {
+                // A non-timing ACT refusal is a broken policy promise: report
+                // it as the probing enumeration walk does, so release builds
+                // (which skip the gate-trusting path's debug oracle) name the
+                // same failure.
+                if matches!(cand.command, DramCommand::Activate { .. }) && !e.is_too_early() {
+                    panic!("illegal ACT candidate {}: {e}", cand.command);
+                }
+                panic!("scheduler issued illegal command {}: {e}", cand.command)
+            });
         self.gate_gen += 1;
         // Keep the queues' open-row mirror (and thus the per-bank match
         // lists) in lockstep with the device's row-buffer state.

@@ -385,12 +385,6 @@ pub struct RequestQueues {
     cfg: ControllerConfig,
     mode: DrainMode,
     next_id: u64,
-    /// Monotone count of slot releases (issued columns, drained
-    /// writes). A queue-full admission verdict can only change when
-    /// this moves, so cached "core blocked on a full queue" wake bounds
-    /// in the system loop are invalidated by comparing epochs instead
-    /// of re-probing every queue every cycle.
-    releases: u64,
     /// Per-rank bank bitmaps, maintained at the same sites that update
     /// the per-bank counters they summarize (only when
     /// `banks_per_rank <= 64`; wider ranks leave them zero and callers
@@ -440,7 +434,6 @@ impl RequestQueues {
             cfg,
             mode: DrainMode::ServeReads,
             next_id: 0,
-            releases: 0,
             work_mask: vec![0; ranks],
             open_mask: vec![0; ranks],
             hit_read_mask: vec![0; ranks],
@@ -486,12 +479,6 @@ impl RequestQueues {
             hit_read: self.hit_read_mask[r],
             hit_write: self.hit_write_mask[r],
         }
-    }
-
-    /// The slot-release epoch (see the field docs): bumped every time a
-    /// request leaves the queues.
-    pub fn release_epoch(&self) -> u64 {
-        self.releases
     }
 
     fn key_of(&self, req: &MemoryRequest) -> usize {
@@ -698,7 +685,6 @@ impl RequestQueues {
         }
         self.meta[i as usize].flags = 0;
         self.free.push(i);
-        self.releases += 1;
         self.update_mode();
     }
 

@@ -12,10 +12,27 @@
 //! * Reads occupy their ROB slot until the controller returns data;
 //!   because retirement is in-order, a pending read at the ROB head
 //!   stalls the core — this is how DRAM latency becomes execution time.
+//!
+//! ## Two ways to drive a core
+//!
+//! [`Core::tick`] simulates one CPU cycle and is the reference. The
+//! event-driven form simulates whole spans in which the core offers
+//! nothing to the memory system: [`Core::run_ahead`] advances as far as
+//! the core's future is known and returns the cycle of its next
+//! [`MemoryPort`] probe, [`Core::catch_up`] advances a core that stopped
+//! early to a given cycle, and the caller ticks the core only on its
+//! probe cycles. Both forms produce the same submits on the same cycles,
+//! the same finish cycle and the same stall count.
+//!
+//! The ROB is run-length encoded: one [`Run`] holds consecutive fetch
+//! groups that complete on consecutive cycles, so a steady-state span
+//! (ROB full, `retire_width` instructions retiring and as many fetched
+//! each cycle) is one O(1) append plus the retirement of whole runs.
 
 use crate::trace::{MemOp, Trace};
 use nuat_types::{CpuCycle, PhysAddr, ProcessorConfig};
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// The memory system as seen by a core. Implemented by the simulator
 /// around `nuat_core::MemoryController`.
@@ -30,12 +47,49 @@ pub trait MemoryPort {
     fn submit(&mut self, core: usize, op: MemOp, addr: PhysAddr) -> u64;
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum RobEntry {
-    /// Completes at the given CPU cycle.
-    Done(CpuCycle),
-    /// Waiting for read data (token from the memory port).
-    WaitingRead(u64),
+/// Completion cycle of a read whose data has not returned.
+const PENDING: u64 = u64::MAX;
+
+/// Consecutive ROB entries: `groups` fetch groups, group `j` completing
+/// at CPU cycle `at + j`. An outstanding read is a one-entry run at
+/// [`PENDING`].
+#[derive(Debug, Clone, Copy)]
+struct Run {
+    /// Completion cycle of the first group.
+    at: u64,
+    /// Instructions left in the first group (retiring part of a group
+    /// shrinks it).
+    first: u32,
+    /// Instructions in each later group; runs are only extended with
+    /// groups at least `retire_width` wide.
+    width: u32,
+    groups: u64,
+}
+
+impl Run {
+    fn len(&self) -> u64 {
+        u64::from(self.first) + (self.groups - 1) * u64::from(self.width)
+    }
+}
+
+/// Hashes read tokens (already unique integers) with one multiply.
+#[derive(Debug, Default)]
+struct TokenHasher(u64);
+
+impl Hasher for TokenHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(self.0 ^ u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = n.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    }
 }
 
 /// One trace-driven core.
@@ -51,7 +105,18 @@ pub struct Core {
     fetched: u64,
     retired: u64,
     total: u64,
-    rob: VecDeque<RobEntry>,
+    rob: VecDeque<Run>,
+    /// Instructions in the ROB.
+    rob_len: u64,
+    /// Sequence number of `rob[0]`: runs are numbered in push order.
+    rob_head: u64,
+    /// Outstanding reads: token → sequence number of the read's run.
+    reads: HashMap<u64, u64, BuildHasherDefault<TokenHasher>>,
+    /// Next CPU cycle to simulate; every earlier cycle is final.
+    clock: u64,
+    /// The port refused the next record at the last tick; fetch stays
+    /// stuck on it until the caller ticks the core again.
+    queue_blocked: bool,
     /// CPU cycle at which the final instruction retired.
     finished_at: Option<CpuCycle>,
     /// Cycles in which retirement made no progress while work remained.
@@ -76,7 +141,12 @@ impl Core {
             fetched: 0,
             retired: 0,
             total,
-            rob: VecDeque::with_capacity(cfg.rob_size),
+            rob: VecDeque::new(),
+            rob_len: 0,
+            rob_head: 0,
+            reads: HashMap::default(),
+            clock: 0,
+            queue_blocked: false,
             finished_at: None,
             stall_cycles: 0,
         }
@@ -113,160 +183,233 @@ impl Core {
         self.stall_cycles
     }
 
-    /// How many CPU cycles from `now` this core is provably inert —
-    /// neither retiring nor fetching — assuming the memory system stays
-    /// frozen (no completions delivered, no queue slot freed). Returns
-    /// `u64::MAX` when only a memory event can wake the core: finished,
-    /// head-of-ROB read outstanding, or fetch blocked on a full queue.
-    /// Returns 0 when the very next [`tick`](Self::tick) makes progress.
+    /// The next CPU cycle this core will simulate.
+    pub fn clock(&self) -> CpuCycle {
+        CpuCycle::new(self.clock)
+    }
+
+    /// The memory operation the port refused at the last tick, while
+    /// fetch is stuck on it. Such a core neither runs ahead nor submits
+    /// until it is ticked again, which the caller should do on the first
+    /// cycle the target queue may have room.
+    pub fn blocked_on(&self) -> Option<(MemOp, PhysAddr)> {
+        if !self.queue_blocked {
+            return None;
+        }
+        self.trace
+            .records()
+            .get(self.next_record)
+            .map(|r| (r.op, r.addr))
+    }
+
+    /// Delivers read data for `token` (from [`MemoryPort::submit`]); the
+    /// entry may retire from CPU cycle `at` on. `at` may lie before or
+    /// after the core's clock: a read's completion cycle only matters in
+    /// cycles whose retirement reaches it, and the core simulates none
+    /// of those while the read is outstanding, except under a
+    /// [`catch_up`](Self::catch_up) that promised no earlier delivery.
+    pub fn complete_read(&mut self, token: u64, at: CpuCycle) {
+        let Some(seq) = self.reads.remove(&token) else {
+            // A completion for an unknown token indicates a wiring bug.
+            panic!(
+                "core {}: read completion for unknown token {token}",
+                self.id
+            );
+        };
+        self.rob[(seq - self.rob_head) as usize].at = at.raw();
+    }
+
+    /// Advances one CPU cycle: retire, then fetch, offering memory
+    /// operations to `port`. This is the reference every other way of
+    /// advancing the core reproduces; the event-driven caller uses it on
+    /// the cycles [`run_ahead`](Self::run_ahead) reports.
     ///
-    /// Used by the system loop to bulk-skip cycles in which both the
-    /// controller and every core are dead; across such a span the only
-    /// state `tick` would change is the stall counter (see
-    /// [`advance_stalled`](Self::advance_stalled)).
-    pub fn quiescent_cycles(
-        &self,
-        now: CpuCycle,
-        can_accept: impl Fn(MemOp, PhysAddr) -> bool,
-    ) -> u64 {
-        self.next_wake(now, can_accept).0
-    }
-
-    /// The event-calendar form of [`quiescent_cycles`]: returns the
-    /// inert span plus whether that span assumed the next trace record
-    /// was rejected by `can_accept` (a full memory queue). The caller
-    /// may cache `now + span` as this core's wake entry and substitute
-    /// [`advance_stalled`](Self::advance_stalled) for [`tick`] until it
-    /// expires, provided it discards the entry when a completion is
-    /// delivered to this core — and, when the flag is set, whenever any
-    /// controller frees a queue slot (the release could re-admit the
-    /// fetch before both the retire bound and the cached span elapse).
-    pub fn next_wake(
-        &self,
-        now: CpuCycle,
-        can_accept: impl Fn(MemOp, PhysAddr) -> bool,
-    ) -> (u64, bool) {
+    /// Generic over the port (rather than `&mut dyn`) so the admission
+    /// checks and submits inline into the system loop.
+    pub fn tick(&mut self, now: CpuCycle, port: &mut impl MemoryPort) {
+        let now = now.raw();
+        self.clock = now + 1;
+        self.queue_blocked = false;
         if self.is_done() {
-            return (u64::MAX, false);
+            return;
         }
-        // Retire side: only the ROB head can unblock by itself, at its
-        // recorded completion time.
-        let retire = match self.rob.front() {
-            Some(RobEntry::Done(t)) => {
-                if *t <= now {
-                    return (0, false);
-                }
-                t.raw() - now.raw()
-            }
-            Some(RobEntry::WaitingRead(_)) | None => u64::MAX,
-        };
-        // Fetch side: progresses immediately unless structurally
-        // blocked. A full ROB reopens only after a retirement, which
-        // the retire bound already caps.
-        let mut queue_blocked = false;
-        let fetch = if self.fetched == self.total || self.rob.len() == self.cfg.rob_size {
-            u64::MAX
-        } else if self.gap_remaining > 0 {
-            0
-        } else if let Some(rec) = self.trace.records().get(self.next_record) {
-            if can_accept(rec.op, rec.addr) {
-                0
+        self.retire(self.ready(now).0);
+        let id = self.id;
+        self.fetch(now, |op, addr| {
+            if port.can_accept(op, addr) {
+                Some(port.submit(id, op, addr))
             } else {
-                queue_blocked = true;
-                u64::MAX
+                None
             }
-        } else {
-            u64::MAX
-        };
-        (retire.min(fetch), queue_blocked)
+        });
+        self.note_finish(now);
     }
 
-    /// Bulk-advances an inert span in one step. The caller guarantees
-    /// `cycles <= quiescent_cycles(now, ..)`; under that contract each
-    /// skipped `tick` would have done nothing except count one
-    /// retirement stall, so that is the only state updated here.
-    pub fn advance_stalled(&mut self, cycles: u64) {
-        if !self.is_done() {
-            self.stall_cycles += cycles;
+    /// Advances through every cycle whose outcome is already known and
+    /// returns the CPU cycle at which the core will next probe the
+    /// memory port, where the caller must [`tick`](Self::tick) it.
+    ///
+    /// The core stops early, without simulating it, at a cycle whose
+    /// retirement reaches a read that has not returned: its data decides
+    /// what follows. The returned cycle then assumes the data stays
+    /// out; the caller must call this again after every
+    /// [`complete_read`](Self::complete_read), and
+    /// [`catch_up`](Self::catch_up) the core before ticking it. Returns
+    /// `None` when only a completion can lead to a probe, when the core
+    /// is blocked on a full queue (see [`blocked_on`](Self::blocked_on)),
+    /// and once it is done.
+    pub fn run_ahead(&mut self) -> Option<CpuCycle> {
+        if self.queue_blocked {
+            return None;
         }
+        // Without a limit, only finishing ends the run-ahead otherwise.
+        let ready = self.advance(u64::MAX, true)?;
+        if self.probes(ready) {
+            return Some(CpuCycle::new(self.clock));
+        }
+        // Retirement reaches a read that has not returned: past this
+        // cycle nothing retires, so fetch reaches the next record only if
+        // the ROB has room for the gap before it.
+        let gap = u64::from(self.gap_remaining);
+        let room = self.cfg.rob_size as u64 - self.rob_len + ready;
+        (self.next_record < self.trace.records().len() && gap < room)
+            .then(|| CpuCycle::new(self.clock + gap / self.cfg.fetch_width as u64))
     }
 
-    /// Delivers read data for `token` (from [`MemoryPort::submit`]).
-    pub fn complete_read(&mut self, token: u64, now: CpuCycle) {
-        for e in self.rob.iter_mut() {
-            if *e == RobEntry::WaitingRead(token) {
-                *e = RobEntry::Done(now);
-                return;
-            }
-        }
-        // A completion for an unknown token indicates a wiring bug.
-        panic!(
-            "core {}: read completion for unknown token {token}",
-            self.id
+    /// Simulates every cycle before `to` that has not been simulated.
+    /// The caller guarantees that the core probes the port on none of
+    /// them and that every read completing before `to` was delivered.
+    pub fn catch_up(&mut self, to: CpuCycle) {
+        self.advance(to.raw(), false);
+        debug_assert!(
+            self.clock >= to.raw() || self.is_done(),
+            "core {}: catch-up to {to} stopped at a probe on cycle {}",
+            self.id,
+            self.clock
         );
     }
 
-    /// Advances one CPU cycle: retire, then fetch. Returns whether any
-    /// instruction retired or fetched — a `false` tick changed nothing
-    /// but the stall counter, which tells an event-driven caller this
-    /// core just went inert and its [`next_wake`](Self::next_wake) span
-    /// is worth computing and caching.
-    ///
-    /// Generic over the port (rather than `&mut dyn`) so the per-cycle
-    /// admission checks and submits inline into the system loop.
-    pub fn tick(&mut self, now: CpuCycle, port: &mut impl MemoryPort) -> bool {
-        if self.is_done() {
-            return false;
-        }
-        let before = self.retired + self.fetched;
-        self.retire(now);
-        self.fetch(now, port);
-        if self.is_done() && self.finished_at.is_none() {
-            self.finished_at = Some(now);
-        }
-        self.retired + self.fetched > before
-    }
-
-    fn retire(&mut self, now: CpuCycle) {
+    /// Instructions at the ROB head that can retire in cycle `now`,
+    /// capped at the retire width, and whether retirement stops short at
+    /// a read whose data is outstanding.
+    fn ready(&self, now: u64) -> (u64, bool) {
+        let cap = self.cfg.retire_width as u64;
         let mut n = 0;
-        while n < self.cfg.retire_width {
-            match self.rob.front() {
-                Some(RobEntry::Done(t)) if *t <= now => {
-                    self.rob.pop_front();
-                    self.retired += 1;
-                    n += 1;
-                }
-                _ => break,
+        for run in &self.rob {
+            if run.at > now {
+                return (n, run.at == PENDING);
+            }
+            let groups = (now - run.at).min(run.groups - 1);
+            n += u64::from(run.first) + groups * u64::from(run.width);
+            if n >= cap {
+                return (cap, false);
+            }
+            if groups + 1 < run.groups {
+                break;
             }
         }
-        if n == 0 && !self.is_done() {
-            self.stall_cycles += 1;
+        (n, false)
+    }
+
+    /// Retires the `n` oldest ROB entries.
+    fn pop(&mut self, mut n: u64) {
+        self.retired += n;
+        self.rob_len -= n;
+        while n > 0 {
+            let run = self.rob.front_mut().expect("retiring past the ROB tail");
+            let len = run.len();
+            if n >= len {
+                n -= len;
+                self.rob.pop_front();
+                self.rob_head += 1;
+            } else {
+                if n < u64::from(run.first) {
+                    run.first -= n as u32;
+                } else {
+                    let later = n - u64::from(run.first);
+                    let width = u64::from(run.width);
+                    let skipped = 1 + later / width;
+                    run.at += skipped;
+                    run.groups -= skipped;
+                    run.first = (width - later % width) as u32;
+                }
+                return;
+            }
         }
     }
 
-    fn fetch(&mut self, now: CpuCycle, port: &mut impl MemoryPort) {
-        let done_at = now + self.cfg.pipeline_depth;
-        for _ in 0..self.cfg.fetch_width {
-            if self.fetched == self.total || self.rob.len() == self.cfg.rob_size {
+    /// Appends `groups` fetch groups of `width` entries, group `j`
+    /// completing at `at + j`.
+    fn push(&mut self, at: u64, width: u32, groups: u64) {
+        self.rob_len += u64::from(width) * groups;
+        if let Some(tail) = self.rob.back_mut() {
+            if tail.at != PENDING
+                && tail.at + tail.groups == at
+                && width as usize >= self.cfg.retire_width
+                && (tail.groups == 1 || tail.width == width)
+            {
+                tail.width = width;
+                tail.groups += groups;
                 return;
+            }
+        }
+        self.rob.push_back(Run {
+            at,
+            first: width,
+            width,
+            groups,
+        });
+    }
+
+    fn retire(&mut self, ready: u64) {
+        match ready {
+            0 => self.stall_cycles += 1,
+            n => self.pop(n),
+        }
+    }
+
+    /// Fetch stage of cycle `now`. `submit` offers the next record's
+    /// operation to the memory system and returns its token, or `None`
+    /// when the target queue is full.
+    fn fetch(&mut self, now: u64, mut submit: impl FnMut(MemOp, PhysAddr) -> Option<u64>) {
+        let at = now + self.cfg.pipeline_depth;
+        let cap = self.cfg.rob_size as u64;
+        let mut group = 0u32;
+        for _ in 0..self.cfg.fetch_width {
+            if self.fetched == self.total || self.rob_len + u64::from(group) == cap {
+                break;
             }
             if self.gap_remaining > 0 {
                 self.gap_remaining -= 1;
-                self.rob.push_back(RobEntry::Done(done_at));
+                group += 1;
                 self.fetched += 1;
                 continue;
             }
             let Some(rec) = self.trace.records().get(self.next_record).copied() else {
                 // Only the tail gap remains and it is exhausted.
-                return;
+                break;
             };
-            if !port.can_accept(rec.op, rec.addr) {
-                return; // structural stall: queue full
-            }
-            let token = port.submit(self.id, rec.op, rec.addr);
+            let Some(token) = submit(rec.op, rec.addr) else {
+                self.queue_blocked = true; // structural stall: queue full
+                break;
+            };
             match rec.op {
-                MemOp::Read => self.rob.push_back(RobEntry::WaitingRead(token)),
-                MemOp::Write => self.rob.push_back(RobEntry::Done(done_at)),
+                MemOp::Read => {
+                    if group > 0 {
+                        self.push(at, group, 1);
+                        group = 0;
+                    }
+                    self.reads
+                        .insert(token, self.rob_head + self.rob.len() as u64);
+                    self.rob.push_back(Run {
+                        at: PENDING,
+                        first: 1,
+                        width: 1,
+                        groups: 1,
+                    });
+                    self.rob_len += 1;
+                }
+                MemOp::Write => group += 1,
             }
             self.fetched += 1;
             self.next_record += 1;
@@ -277,6 +420,146 @@ impl Core {
                 .map(|r| r.gap)
                 .unwrap_or_else(|| self.trace.tail_gap());
         }
+        if group > 0 {
+            self.push(at, group, 1);
+        }
+    }
+
+    fn note_finish(&mut self, now: u64) {
+        if self.is_done() && self.finished_at.is_none() {
+            self.finished_at = Some(CpuCycle::new(now));
+        }
+    }
+
+    /// Whether fetch in cycle `clock`, after `ready` entries retire,
+    /// reaches the next record with ROB room to take it, i.e. probes the
+    /// port.
+    fn probes(&self, ready: u64) -> bool {
+        if self.queue_blocked || self.next_record == self.trace.records().len() {
+            return false;
+        }
+        let gap = u64::from(self.gap_remaining);
+        gap < self.cfg.fetch_width as u64 && gap < self.cfg.rob_size as u64 - self.rob_len + ready
+    }
+
+    /// Simulates cycles from `clock` up to `limit`, stopping early before
+    /// a cycle that probes the port and, if `stop_at_read`, before a cycle
+    /// whose retirement reaches a read that has not returned. After such
+    /// an early stop, returns how many entries that cycle can retire.
+    fn advance(&mut self, limit: u64, stop_at_read: bool) -> Option<u64> {
+        while self.clock < limit && !self.is_done() {
+            let now = self.clock;
+            let (ready, read_out) = self.ready(now);
+            if (stop_at_read && read_out) || self.probes(ready) {
+                return Some(ready);
+            }
+            if !self.jump(limit) {
+                self.retire(ready);
+                // Reaches a record only while the queue is known full.
+                self.fetch(now, |_, _| None);
+                self.note_finish(now);
+                self.clock = now + 1;
+            }
+        }
+        None
+    }
+
+    /// Crosses, in O(1) plus the runs it retires, a span of cycles that
+    /// all behave alike, starting at `clock` and ending by `limit`:
+    ///
+    /// * the head cannot retire, and fetch takes either nothing or a
+    ///   full `fetch_width` group of gap instructions each cycle;
+    /// * exactly `retire_width` entries retire each cycle, and fetch
+    ///   takes either nothing or as many gap instructions (ROB full).
+    ///
+    /// Returns false, changing nothing, when the next cycle is neither.
+    /// The caller has checked that the next cycle does not probe.
+    fn jump(&mut self, limit: u64) -> bool {
+        let c = self.clock;
+        let r = self.cfg.retire_width as u64;
+        let f = self.cfg.fetch_width as u64;
+        let cap = self.cfg.rob_size as u64;
+        let depth = self.cfg.pipeline_depth;
+        let gap = u64::from(self.gap_remaining);
+        // Fetch can take nothing: all fetched, or the next record is
+        // held back by a full queue.
+        let fetch_idle =
+            gap == 0 && (self.next_record == self.trace.records().len() || self.queue_blocked);
+        // Cycles before the head can retire.
+        let head_wait = match self.rob.front() {
+            // An instruction fetched now retires `depth` cycles later,
+            // and never in its own fetch cycle.
+            None if !fetch_idle => depth.max(1),
+            None => u64::MAX,
+            Some(head) => head.at.saturating_sub(c),
+        };
+        let mut k = limit - c;
+        if head_wait > 0 {
+            let room = cap - self.rob_len;
+            k = k.min(head_wait);
+            if !fetch_idle && room > 0 {
+                if room < f || gap < f {
+                    return false;
+                }
+                k = k.min(room / f).min(gap / f);
+                self.push(c + depth, f as u32, k);
+                self.fetched += k * f;
+                self.gap_remaining -= (k * f) as u32;
+            }
+            self.stall_cycles += k;
+            self.clock += k;
+            return true;
+        }
+        let refill = if fetch_idle {
+            k = k.min(self.rob_len / r);
+            false
+        } else if self.rob_len == cap && f >= r {
+            k = k.min(gap / r);
+            true
+        } else {
+            return false;
+        };
+        // Entry `p` (counted from the head) retires in cycle `c + p / r`
+        // if every entry before it retired at full width; find the first
+        // entry that might not be ready by then.
+        let mut p = 0u64;
+        for run in &self.rob {
+            if p >= k * r {
+                break;
+            }
+            if run.at > c + p / r {
+                k = k.min(p / r);
+                break;
+            }
+            if run.groups > 1 {
+                // Later groups complete one cycle apart and, being at
+                // least `r` wide, retire at least a cycle apart: the
+                // second group is the only one that can be late.
+                let second = p + u64::from(run.first);
+                if u64::from(run.width) < r || run.at + 1 > c + second / r {
+                    k = k.min(second / r);
+                    break;
+                }
+            }
+            p += run.len();
+        }
+        if refill && p == cap && k * r > cap && depth.max(1) > cap / r {
+            // The span would retire groups it fetched itself before they
+            // complete.
+            k = k.min(cap / r);
+        }
+        if k == 0 {
+            return false;
+        }
+        if refill {
+            self.push(c + depth, r as u32, k);
+            self.fetched += k * r;
+            self.gap_remaining -= (k * r) as u32;
+        }
+        self.pop(k * r);
+        self.clock += k;
+        self.note_finish(self.clock - 1);
+        true
     }
 }
 
@@ -395,7 +678,7 @@ mod tests {
         };
         let mut now = CpuCycle::ZERO;
         while !core.is_done() {
-            assert!(core.rob.len() <= 128);
+            assert!(core.rob_len <= 128);
             core.tick(now, &mut port);
             now += 1;
             assert!(now.raw() < 100_000);

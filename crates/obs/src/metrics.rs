@@ -77,10 +77,6 @@ pub enum Counter {
     WheelStale,
     /// Live (non-parked) wheel entries at the last sample (gauge).
     WheelLive,
-    /// Wall nanoseconds workers spent waiting at shard barriers.
-    ShardBarrierWaitNanos,
-    /// Sharded-runtime barrier phases executed.
-    ShardPhases,
     /// Peak request-slab occupancy (reads + writes in flight, gauge).
     SlabHighWater,
 }
@@ -88,7 +84,7 @@ pub enum Counter {
 impl Counter {
     /// Every variant, in declaration order; indexes the recorder's
     /// counter array.
-    pub const ALL: [Counter; 27] = [
+    pub const ALL: [Counter; 25] = [
         Counter::PhasePowerNanos,
         Counter::PhaseRefreshNanos,
         Counter::PhaseEnumNanos,
@@ -113,8 +109,6 @@ impl Counter {
         Counter::WheelOverflowLen,
         Counter::WheelStale,
         Counter::WheelLive,
-        Counter::ShardBarrierWaitNanos,
-        Counter::ShardPhases,
         Counter::SlabHighWater,
     ];
 
@@ -146,8 +140,6 @@ impl Counter {
             Counter::WheelOverflowLen => "wheel_overflow_len",
             Counter::WheelStale => "wheel_stale_entries",
             Counter::WheelLive => "wheel_live_entries",
-            Counter::ShardBarrierWaitNanos => "shard_barrier_wait_nanos_total",
-            Counter::ShardPhases => "shard_phases_total",
             Counter::SlabHighWater => "slab_high_water",
         }
     }
@@ -179,8 +171,6 @@ impl Counter {
             Counter::WheelOverflowLen => "Overflow-heap length at last sample",
             Counter::WheelStale => "Stale overflow-heap entries at last sample",
             Counter::WheelLive => "Live timing-wheel entries at last sample",
-            Counter::ShardBarrierWaitNanos => "Wall nanoseconds workers waited at shard barriers",
-            Counter::ShardPhases => "Sharded-runtime barrier phases executed",
             Counter::SlabHighWater => "Peak request-slab occupancy",
         }
     }
@@ -793,14 +783,6 @@ pub fn health_report(recs: &[MetricsRecorder]) -> String {
             "enqueue batches: mean {:.2} req/tick, max {}",
             batch.mean(),
             batch.max()
-        );
-    }
-    if agg.counter(Counter::ShardPhases) > 0 {
-        let _ = writeln!(
-            out,
-            "sharded runtime: {} phases, {:.3} ms barrier wait",
-            agg.counter(Counter::ShardPhases),
-            agg.counter(Counter::ShardBarrierWaitNanos) as f64 / 1e6
         );
     }
 

@@ -18,11 +18,10 @@ use crate::metrics::MetricsRecorder;
 /// determinism guard locks this: goldens with and without an attached
 /// sink are byte-identical).
 ///
-/// `Send` is a supertrait: under channel-parallel execution
-/// (`NUAT_CHANNEL_JOBS`) each controller — and the sink riding it —
-/// migrates to a worker thread between CPU sync points. Sinks are never
-/// shared (`Sync` is not required); one channel's event stream is
-/// always written by exactly one thread at a time.
+/// `Send` is a supertrait, so a whole simulation — controllers and the
+/// sinks riding them — can run on a worker thread (the campaign's
+/// `parallel_map`). Sinks are never shared (`Sync` is not required); one
+/// channel's event stream is always written by exactly one thread.
 pub trait TraceSink: Send {
     /// Compile-time enable flag: `false` only for [`NullSink`]. Emission
     /// sites and span accumulators wrap themselves in

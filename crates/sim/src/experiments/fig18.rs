@@ -81,6 +81,9 @@ impl WorkloadComparison {
 pub struct LatencyExecReport {
     /// Per-workload comparisons.
     pub rows: Vec<WorkloadComparison>,
+    /// The workloads and configuration the rows were run with.
+    specs: Vec<WorkloadSpec>,
+    rc: RunConfig,
 }
 
 impl LatencyExecReport {
@@ -149,7 +152,32 @@ impl LatencyExecReport {
                 }
             })
             .collect();
-        LatencyExecReport { rows }
+        LatencyExecReport {
+            rows,
+            specs: specs.to_vec(),
+            rc: *rc,
+        }
+    }
+
+    /// The single-core 5PB run of `spec` under `kind` at the first seed,
+    /// if this report holds it and was run with `rc`. Figs. 21 and 22
+    /// simulate exactly these cells for their single-core rows.
+    pub fn first_seed_run(
+        &self,
+        spec: &WorkloadSpec,
+        kind: SchedulerKind,
+        rc: &RunConfig,
+    ) -> Option<&SimResult> {
+        if self.rc != *rc {
+            return None;
+        }
+        let row = &self.rows[self.specs.iter().position(|s| s == spec)?];
+        match kind {
+            SchedulerKind::Nuat => Some(&row.nuat),
+            SchedulerKind::FrFcfsOpen => Some(&row.open),
+            SchedulerKind::FrFcfsClose => Some(&row.close),
+            _ => None,
+        }
     }
 
     /// Runs the given workloads with a single seed (fast path for tests).

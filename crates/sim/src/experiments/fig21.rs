@@ -5,6 +5,7 @@
 //! cycles grow with #PB but with diminishing returns (the sense-amp
 //! nonlinearity), and the sensitivity steepens with more cores.
 
+use crate::experiments::LatencyExecReport;
 use crate::parallel::parallel_map;
 use crate::runner::{run_mix, RunConfig};
 use nuat_circuit::PbGrouping;
@@ -36,6 +37,26 @@ impl PbSensitivity {
         mixes_per_count: usize,
         rc: &RunConfig,
     ) -> Self {
+        Self::run_reusing(
+            core_counts,
+            n_pbs,
+            single_core_workloads,
+            mixes_per_count,
+            rc,
+            None,
+        )
+    }
+
+    /// [`run`](Self::run), taking single-core 5PB results that `fig18`
+    /// already holds instead of simulating them again.
+    fn run_reusing(
+        core_counts: &[usize],
+        n_pbs: &[usize],
+        single_core_workloads: usize,
+        mixes_per_count: usize,
+        rc: &RunConfig,
+        fig18: Option<&LatencyExecReport>,
+    ) -> Self {
         let singles = table2();
         let mut avg_latency = Vec::new();
         for &cores in core_counts {
@@ -60,8 +81,16 @@ impl PbSensitivity {
                 .flat_map(|(pi, _)| (0..combos.len()).map(move |ci| (pi, ci)))
                 .collect();
             let latencies = parallel_map(&cells, |&(pi, ci)| {
-                let grouping = PbGrouping::paper(n_pbs[pi]);
-                run_mix(&combos[ci], SchedulerKind::Nuat, grouping, rc).avg_read_latency()
+                let known = fig18
+                    .filter(|_| n_pbs[pi] == 5 && combos[ci].len() == 1)
+                    .and_then(|r| r.first_seed_run(&combos[ci][0], SchedulerKind::Nuat, rc));
+                match known {
+                    Some(r) => r.avg_read_latency(),
+                    None => {
+                        let grouping = PbGrouping::paper(n_pbs[pi]);
+                        run_mix(&combos[ci], SchedulerKind::Nuat, grouping, rc).avg_read_latency()
+                    }
+                }
             });
             let per_pb: Vec<f64> = n_pbs
                 .iter()
@@ -85,6 +114,24 @@ impl PbSensitivity {
     /// The paper's default sweep shape.
     pub fn run_paper(rc: &RunConfig, mixes_per_count: usize) -> Self {
         Self::run(&[1, 2, 4], &[2, 3, 4, 5], 18, mixes_per_count, rc)
+    }
+
+    /// [`run_paper`](Self::run_paper), reusing the single-core 5PB runs
+    /// of a Fig. 18 report made with the same `rc`; the result is
+    /// identical.
+    pub fn run_paper_reusing(
+        rc: &RunConfig,
+        mixes_per_count: usize,
+        fig18: &LatencyExecReport,
+    ) -> Self {
+        Self::run_reusing(
+            &[1, 2, 4],
+            &[2, 3, 4, 5],
+            18,
+            mixes_per_count,
+            rc,
+            Some(fig18),
+        )
     }
 
     /// Cycles saved vs the 2PB baseline, per core count and #PB (the
@@ -139,6 +186,18 @@ mod tests {
             "5PB must not be materially slower than 2PB: {:?}",
             saved
         );
+    }
+
+    #[test]
+    fn reusing_fig18_single_core_runs_changes_nothing() {
+        let rc = RunConfig {
+            mem_ops_per_core: 300,
+            ..RunConfig::quick()
+        };
+        let fig18 = LatencyExecReport::run_subset(&table2()[..2], &rc);
+        let reused = PbSensitivity::run_reusing(&[1], &[2, 5], 2, 1, &rc, Some(&fig18));
+        let fresh = PbSensitivity::run(&[1], &[2, 5], 2, 1, &rc);
+        assert_eq!(reused.avg_latency, fresh.avg_latency);
     }
 
     #[test]

@@ -7,8 +7,10 @@
 //! work from row-buffer hits to activations — exactly where NUAT's
 //! charge slack applies.
 
+use crate::experiments::LatencyExecReport;
 use crate::parallel::parallel_map;
 use crate::runner::{run_mix, RunConfig};
+use crate::system::SimResult;
 use nuat_circuit::PbGrouping;
 use nuat_core::SchedulerKind;
 use nuat_workloads::{random_mixes, table2, WorkloadSpec};
@@ -46,6 +48,24 @@ impl MulticoreEffects {
         mixes_per_count: usize,
         rc: &RunConfig,
     ) -> Self {
+        Self::run_reusing(
+            core_counts,
+            single_core_workloads,
+            mixes_per_count,
+            rc,
+            None,
+        )
+    }
+
+    /// [`run`](Self::run), taking single-core results that `fig18`
+    /// already holds instead of simulating them again.
+    fn run_reusing(
+        core_counts: &[usize],
+        single_core_workloads: usize,
+        mixes_per_count: usize,
+        rc: &RunConfig,
+        fig18: Option<&LatencyExecReport>,
+    ) -> Self {
         let grouping = PbGrouping::paper(5);
         let rows = core_counts
             .iter()
@@ -66,19 +86,25 @@ impl MulticoreEffects {
                 // folding the returned triples in combo order keeps the
                 // float accumulation identical to the sequential loop.
                 let triples = parallel_map(&combos, |specs| {
-                    let nuat = run_mix(specs, SchedulerKind::Nuat, grouping.clone(), rc);
-                    let open = run_mix(specs, SchedulerKind::FrFcfsOpen, grouping.clone(), rc);
-                    let close = run_mix(specs, SchedulerKind::FrFcfsClose, grouping.clone(), rc);
+                    // (execution CPU cycles, mean read latency)
+                    let measure = |kind| {
+                        let known = fig18
+                            .filter(|_| specs.len() == 1)
+                            .and_then(|r| r.first_seed_run(&specs[0], kind, rc));
+                        let run =
+                            |r: &SimResult| (r.execution_cpu_cycles as f64, r.avg_read_latency());
+                        match known {
+                            Some(r) => run(r),
+                            None => run(&run_mix(specs, kind, grouping.clone(), rc)),
+                        }
+                    };
+                    let nuat = measure(SchedulerKind::Nuat);
+                    let open = measure(SchedulerKind::FrFcfsOpen);
+                    let close = measure(SchedulerKind::FrFcfsClose);
                     (
-                        pct(
-                            open.execution_cpu_cycles as f64,
-                            nuat.execution_cpu_cycles as f64,
-                        ),
-                        pct(
-                            close.execution_cpu_cycles as f64,
-                            nuat.execution_cpu_cycles as f64,
-                        ),
-                        pct(open.avg_read_latency(), nuat.avg_read_latency()),
+                        pct(open.0, nuat.0),
+                        pct(close.0, nuat.0),
+                        pct(open.1, nuat.1),
                     )
                 });
                 let mut vs_open = 0.0;
@@ -106,6 +132,16 @@ impl MulticoreEffects {
     /// mixes per multi-core count.
     pub fn run_paper(rc: &RunConfig, mixes_per_count: usize) -> Self {
         Self::run(&[1, 2, 4], 18, mixes_per_count, rc)
+    }
+
+    /// [`run_paper`](Self::run_paper), reusing the single-core runs of a
+    /// Fig. 18 report made with the same `rc`; the result is identical.
+    pub fn run_paper_reusing(
+        rc: &RunConfig,
+        mixes_per_count: usize,
+        fig18: &LatencyExecReport,
+    ) -> Self {
+        Self::run_reusing(&[1, 2, 4], 18, mixes_per_count, rc, Some(fig18))
     }
 }
 
@@ -146,6 +182,24 @@ impl fmt::Display for MulticoreEffects {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn reusing_fig18_single_core_runs_changes_nothing() {
+        let rc = RunConfig {
+            mem_ops_per_core: 300,
+            ..RunConfig::quick()
+        };
+        let fig18 = LatencyExecReport::run_subset(&table2()[..2], &rc);
+        let reused = MulticoreEffects::run_reusing(&[1], 2, 1, &rc, Some(&fig18));
+        assert_eq!(reused.rows, MulticoreEffects::run(&[1], 2, 1, &rc).rows);
+        assert!(fig18
+            .first_seed_run(&table2()[1], SchedulerKind::FrFcfsClose, &rc)
+            .is_some());
+        let other = RunConfig { seed: 7, ..rc };
+        assert!(fig18
+            .first_seed_run(&table2()[0], SchedulerKind::Nuat, &other)
+            .is_none());
+    }
 
     #[test]
     fn runs_and_renders_for_small_configs() {

@@ -29,7 +29,7 @@ pub mod runner;
 pub mod system;
 
 pub use experiments::{LatencyExecReport, MulticoreEffects, PbSensitivity};
-pub use parallel::{channel_worker_count, parallel_map, worker_count};
+pub use parallel::{parallel_map, worker_count};
 pub use report::{latency_exec_csv, multicore_csv, pb_sensitivity_csv, render_histogram, Csv};
 pub use runner::{
     run_mix, run_mix_instrumented, run_mix_traced, run_single, traces_for, RunConfig,

@@ -36,76 +36,6 @@ pub fn worker_count(job_count: usize) -> usize {
     requested.clamp(1, job_count.max(1))
 }
 
-/// Number of worker threads for intra-run channel sharding
-/// ([`System::run`](crate::System::run)'s worker-per-channel mode).
-///
-/// Resolution: the `NUAT_CHANNEL_JOBS` environment variable if set to a
-/// positive integer, otherwise 1, clamped to `channels`. The default is
-/// deliberately *sequential*: campaigns already fan whole simulations
-/// across cores via [`parallel_map`] (`NUAT_JOBS`), and nesting spinning
-/// channel workers inside that would oversubscribe the machine. Set
-/// `NUAT_CHANNEL_JOBS` when running one big multi-channel simulation
-/// that should itself use several cores.
-pub fn channel_worker_count(channels: usize) -> usize {
-    std::env::var("NUAT_CHANNEL_JOBS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(1)
-        .clamp(1, channels.max(1))
-}
-
-/// A sense-reversing spin barrier for the channel-sharded system loop.
-///
-/// The system rendezvouses twice per phase (release the workers, join
-/// them back) up to once per memory-controller cycle, so the barrier
-/// must cost nanoseconds, not a futex round trip: waiters spin on the
-/// generation counter with [`std::hint::spin_loop`]. Spinning is
-/// *bounded*: after a short burst a waiter falls back to
-/// [`std::thread::yield_now`], so on an oversubscribed machine (more
-/// runnable threads than cores — the extreme being a single-CPU CI
-/// container) a waiter donates its timeslice to whoever holds the work
-/// instead of burning a whole scheduler quantum per rendezvous.
-#[derive(Debug)]
-pub(crate) struct SpinBarrier {
-    count: AtomicUsize,
-    generation: AtomicUsize,
-    total: usize,
-}
-
-impl SpinBarrier {
-    pub(crate) fn new(total: usize) -> Self {
-        SpinBarrier {
-            count: AtomicUsize::new(0),
-            generation: AtomicUsize::new(0),
-            total,
-        }
-    }
-
-    /// Blocks (spinning) until `total` threads have arrived, then
-    /// releases them all. Reusable immediately: the generation counter
-    /// flips each time the last arrival resets the count, so a thread
-    /// racing ahead into the next `wait` cannot confuse the two rounds.
-    pub(crate) fn wait(&self) {
-        let generation = self.generation.load(Ordering::Acquire);
-        if self.count.fetch_add(1, Ordering::AcqRel) + 1 == self.total {
-            self.count.store(0, Ordering::Release);
-            self.generation
-                .store(generation.wrapping_add(1), Ordering::Release);
-        } else {
-            let mut spins = 0u32;
-            while self.generation.load(Ordering::Acquire) == generation {
-                if spins < 128 {
-                    spins += 1;
-                    std::hint::spin_loop();
-                } else {
-                    std::thread::yield_now();
-                }
-            }
-        }
-    }
-}
-
 /// Applies `f` to every input, fanning the work across scoped threads,
 /// and returns the outputs **in input order**.
 ///
@@ -189,35 +119,6 @@ mod tests {
         for (idx, (i, _)) in out.iter().enumerate() {
             assert_eq!(idx as u64, *i);
         }
-    }
-
-    #[test]
-    fn spin_barrier_is_reusable_across_rounds() {
-        let barrier = SpinBarrier::new(4);
-        let counter = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            for _ in 0..4 {
-                scope.spawn(|| {
-                    for round in 1..=64usize {
-                        counter.fetch_add(1, Ordering::SeqCst);
-                        barrier.wait();
-                        // All four increments for this round landed, and
-                        // none for the next (the second wait holds every
-                        // thread until the check is done).
-                        assert_eq!(counter.load(Ordering::SeqCst), 4 * round);
-                        barrier.wait();
-                    }
-                });
-            }
-        });
-    }
-
-    #[test]
-    fn channel_workers_clamp_to_channel_count() {
-        // Env-independent: with one channel (or zero) there is never
-        // more than one worker, whatever NUAT_CHANNEL_JOBS says.
-        assert_eq!(channel_worker_count(1), 1);
-        assert_eq!(channel_worker_count(0), 1);
     }
 
     #[test]

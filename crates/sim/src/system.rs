@@ -1,14 +1,38 @@
 //! Full-system wiring: N trace-driven cores sharing one memory
-//! controller, clocked at the paper's 4:1 CPU-to-memory ratio.
+//! controller per channel, clocked at the paper's 4:1 CPU-to-memory
+//! ratio.
+//!
+//! [`System::run`] is event-driven: it jumps from one memory cycle in
+//! which something happens — a controller needs a full tick, or a core
+//! probes its memory port — to the next, bulk-advancing the controllers
+//! across the quiet cycles between. Cores run ahead on their own clocks
+//! between their port probes (see `nuat_cpu::Core::run_ahead`), and are
+//! ticked only on the cycles the calendar files for them, in the
+//! per-cycle loop's order (CPU subcycle first, then core index), so
+//! request admission and request ids are unchanged.
+//! [`System::step`] is that per-cycle loop, kept as the reference.
 
-use crate::parallel::{channel_worker_count, SpinBarrier};
 use nuat_circuit::PbGrouping;
 use nuat_core::{MemoryController, RequestKind, SchedulerKind};
 use nuat_cpu::{Core, MemOp, MemoryPort, Trace};
 use nuat_obs::{Counter, MetricsSink, NullMetrics, NullSink, TraceSink};
 use nuat_types::{CpuCycle, McCycle, PhysAddr, SystemConfig, CPU_CYCLES_PER_MC_CYCLE};
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
-use std::sync::Mutex;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
+/// The channel `addr` maps to. Single-channel systems (the paper's
+/// Table 3 configuration) skip the address decode on this per-probe
+/// path.
+fn channel_of(cfg: &SystemConfig, channels: usize, addr: PhysAddr) -> usize {
+    if channels == 1 {
+        return 0;
+    }
+    cfg.dram
+        .geometry
+        .decode(addr, cfg.controller.mapping)
+        .channel
+        .index()
+}
 
 /// Adapter exposing the channel controllers as the cores'
 /// [`MemoryPort`]. Requests route by the decoded channel; completion
@@ -19,26 +43,9 @@ struct Port<'a, S: TraceSink = NullSink, M: MetricsSink = NullMetrics> {
     cfg: &'a SystemConfig,
 }
 
-impl<S: TraceSink, M: MetricsSink> Port<'_, S, M> {
-    fn channel_of(&self, addr: PhysAddr) -> usize {
-        // Single-channel systems (the paper's Table 3 configuration)
-        // route everything to controller 0; skip the full address decode
-        // on this per-CPU-cycle admission path.
-        if self.mcs.len() == 1 {
-            return 0;
-        }
-        self.cfg
-            .dram
-            .geometry
-            .decode(addr, self.cfg.controller.mapping)
-            .channel
-            .index()
-    }
-}
-
 impl<S: TraceSink, M: MetricsSink> MemoryPort for Port<'_, S, M> {
     fn can_accept(&self, op: MemOp, addr: PhysAddr) -> bool {
-        self.mcs[self.channel_of(addr)].can_accept(kind_of(op))
+        self.mcs[channel_of(self.cfg, self.mcs.len(), addr)].can_accept(kind_of(op))
     }
 
     fn submit(&mut self, core: usize, op: MemOp, addr: PhysAddr) -> u64 {
@@ -58,52 +65,81 @@ fn token(id: u64, channel: usize, channels: usize) -> u64 {
     id * channels as u64 + channel as u64
 }
 
-/// [`MemoryPort`] over mutex-cells, for the channel-sharded run loop:
-/// the controllers live in per-channel `Mutex<&mut _>` cells so worker
-/// threads can tick them, and the CPU phase (which runs on the main
-/// thread while every worker is parked at the phase barrier) locks the
-/// target channel per operation. The locks are uncontended by
-/// construction — phases never overlap — so each is one atomic
-/// exchange, and the port behaves identically to [`Port`].
-struct ShardedPort<'a, 'm, S: TraceSink, M: MetricsSink> {
-    cells: &'a [Mutex<&'m mut MemoryController<S, M>>],
-    cfg: &'a SystemConfig,
-}
-
-impl<S: TraceSink, M: MetricsSink> MemoryPort for ShardedPort<'_, '_, S, M> {
-    fn can_accept(&self, op: MemOp, addr: PhysAddr) -> bool {
-        let ch = self
-            .cfg
-            .dram
-            .geometry
-            .decode(addr, self.cfg.controller.mapping)
-            .channel
-            .index();
-        self.cells[ch]
-            .lock()
-            .expect("no prior panic holding a channel cell")
-            .can_accept(kind_of(op))
-    }
-
-    fn submit(&mut self, core: usize, op: MemOp, addr: PhysAddr) -> u64 {
-        let decoded = self
-            .cfg
-            .dram
-            .geometry
-            .decode(addr, self.cfg.controller.mapping);
-        let ch = decoded.channel.index();
-        let id = self.cells[ch]
-            .lock()
-            .expect("no prior panic holding a channel cell")
-            .enqueue_decoded(core, kind_of(op), decoded);
-        token(id.0, ch, self.cells.len())
-    }
-}
-
 fn kind_of(op: MemOp) -> RequestKind {
     match op {
         MemOp::Read => RequestKind::Read,
         MemOp::Write => RequestKind::Write,
+    }
+}
+
+/// The event calendar of [`System::run`]: the CPU cycle at which each
+/// core must next be ticked, ordered by cycle and then core index.
+#[derive(Debug)]
+struct Calendar {
+    /// Core `i`'s next tick, `u64::MAX` for none.
+    due: Vec<u64>,
+    /// `(cycle, core)` entries; an entry is live while it matches `due`.
+    heap: BinaryHeap<Reverse<(u64, usize)>>,
+    /// Cores whose next record a full queue refused.
+    blocked: Vec<usize>,
+    /// Whether core `i` has retired its whole trace.
+    done: Vec<bool>,
+    unfinished: usize,
+    /// The memory cycle after the latest finish so far.
+    end: u64,
+}
+
+impl Calendar {
+    fn new(cores: usize) -> Self {
+        Calendar {
+            due: vec![u64::MAX; cores],
+            heap: BinaryHeap::with_capacity(2 * cores),
+            blocked: Vec::new(),
+            done: vec![false; cores],
+            unfinished: cores,
+            end: 0,
+        }
+    }
+
+    /// Runs core `i` ahead and files its next tick.
+    fn schedule(&mut self, i: usize, core: &mut Core) {
+        let at = core.run_ahead().map_or(u64::MAX, CpuCycle::raw);
+        self.set(i, at);
+        if core.is_done() && !self.done[i] {
+            self.done[i] = true;
+            self.unfinished -= 1;
+            if let Some(f) = core.finished_at() {
+                self.end = self.end.max(f.to_mc_floor().raw() + 1);
+            }
+        }
+    }
+
+    fn set(&mut self, i: usize, at: u64) {
+        if self.due[i] != at {
+            self.due[i] = at;
+            if at != u64::MAX {
+                self.heap.push(Reverse((at, i)));
+            }
+        }
+    }
+
+    /// The earliest filed tick, `u64::MAX` for none.
+    fn next(&mut self) -> u64 {
+        while let Some(&Reverse((at, i))) = self.heap.peek() {
+            if self.due[i] == at {
+                return at;
+            }
+            self.heap.pop();
+        }
+        u64::MAX
+    }
+
+    /// Takes the earliest filed tick if it falls before CPU cycle `end`.
+    fn pop_before(&mut self, end: u64) -> Option<(u64, usize)> {
+        if self.next() >= end {
+            return None;
+        }
+        self.heap.pop().map(|Reverse(entry)| entry)
     }
 }
 
@@ -152,29 +188,11 @@ pub struct System<S: TraceSink = NullSink, M: MetricsSink = NullMetrics> {
     mcs: Vec<MemoryController<S, M>>,
     cfg: SystemConfig,
     cpu_now: CpuCycle,
-    /// Reused each step to drain controller completions without
-    /// allocating a fresh `Vec` per controller per cycle.
+    /// Reused to drain controller completions without allocating a
+    /// fresh `Vec` per controller per cycle.
     completions_buf: Vec<nuat_core::Completion>,
-    /// Channel-sharding worker override; `None` defers to
-    /// `NUAT_CHANNEL_JOBS` (see [`channel_worker_count`]).
-    channel_workers: Option<usize>,
-    /// Per-core calendar entries for the event-driven loop: the
-    /// absolute CPU cycle before which core `i` is provably inert
-    /// (`Core::next_wake`), or 0 when unknown and the core must be
-    /// ticked for real. Entries are written when a tick reports no
-    /// progress, and discarded when the event they assumed frozen
-    /// fires: a completion delivery to that core, or — for entries
-    /// flagged in `core_wake_qblocked` — any controller freeing a
-    /// queue slot (tracked by the summed release epoch).
-    core_wake: Vec<u64>,
-    /// Whether the matching `core_wake` entry assumed a full queue.
-    core_wake_qblocked: Vec<bool>,
-    /// Sum of `MemoryController::queue_release_epoch` across channels
-    /// at the last invalidation check.
-    release_epoch: u64,
-    /// Event-driven system loop enabled (`NUAT_NO_DES` unset). When
-    /// off, every core is ticked every CPU cycle as before and the
-    /// wake cache stays empty.
+    /// Event calendar enabled (`NUAT_NO_DES` unset). When off, `run`
+    /// ticks every core every CPU cycle ([`System::step`]).
     des_enabled: bool,
 }
 
@@ -295,30 +313,24 @@ impl<S: TraceSink, M: MetricsSink> System<S, M> {
             .enumerate()
             .map(|(i, t)| Core::new(i, cfg.processor, t))
             .collect();
-        let n_cores = cores.len();
         System {
             cores,
             mcs,
             cfg,
             cpu_now: CpuCycle::ZERO,
             completions_buf: Vec::new(),
-            channel_workers: None,
-            core_wake: vec![0; n_cores],
-            core_wake_qblocked: vec![false; n_cores],
-            release_epoch: 0,
             des_enabled: std::env::var("NUAT_NO_DES").map_or(true, |v| v.is_empty() || v == "0"),
         }
     }
 
-    /// Toggles the event-driven execution mode at runtime for both the
-    /// system loop (core wake calendar) and every channel controller
+    /// Switches [`run`](Self::run) between the event calendar (the
+    /// default) and the per-cycle [`step`](Self::step) loop, and every
+    /// channel controller between its event-driven and per-cycle modes
     /// (`MemoryController::set_des`), overriding the `NUAT_NO_DES`
-    /// environment default. A/B correctness tests use this to compare
-    /// the event-driven and per-cycle paths in one process.
+    /// environment default. A/B correctness tests compare the two paths
+    /// in one process with it.
     pub fn set_des(&mut self, enabled: bool) {
         self.des_enabled = enabled;
-        self.core_wake.fill(0);
-        self.core_wake_qblocked.fill(false);
         for mc in &mut self.mcs {
             mc.set_des(enabled);
         }
@@ -333,15 +345,6 @@ impl<S: TraceSink, M: MetricsSink> System<S, M> {
         for mc in &mut self.mcs {
             mc.set_batch_kernel(enabled);
         }
-    }
-
-    /// Forces the channel-sharding worker count for this run, bypassing
-    /// the `NUAT_CHANNEL_JOBS` environment lookup (tests compare the
-    /// sequential and sharded paths in one process without touching
-    /// process-global state). Clamped to the channel count; `1` means
-    /// the sequential loop.
-    pub fn set_channel_workers(&mut self, workers: usize) {
-        self.channel_workers = Some(workers);
     }
 
     /// The channel-0 controller (for inspection mid-run).
@@ -362,178 +365,55 @@ impl<S: TraceSink, M: MetricsSink> System<S, M> {
         &mut self.mcs
     }
 
-    /// True once every core has retired its trace.
+    /// True once every core has retired its trace before the system's
+    /// CPU clock.
     pub fn is_done(&self) -> bool {
-        self.cores.iter().all(Core::is_done)
+        self.cores
+            .iter()
+            .all(|c| c.is_done() && c.finished_at().is_none_or(|f| f < self.cpu_now))
     }
 
-    /// Advances one memory-controller cycle (four CPU cycles).
-    ///
-    /// In event-driven mode each core's cached wake entry (see
-    /// `core_wake`) replaces provably-inert ticks with the exact
-    /// equivalent stall-counter bump; a tick that makes no progress
-    /// refreshes the entry from [`Core::next_wake`]. The observable
-    /// state after every step is identical to the per-cycle loop —
-    /// within a cached span a tick could only have counted one stall,
-    /// which is exactly what [`Core::advance_stalled`] does.
+    /// Advances one memory-controller cycle the reference way: every
+    /// core ticks on each of the four CPU cycles, then every controller
+    /// ticks and hands its finished reads to the cores.
     pub fn step(&mut self) {
-        // Queue releases happen only inside the controller ticks at the
-        // end of a step, so checking the summed release epoch here at
-        // the top of the next step catches every slot freed since the
-        // wake entries were cached.
-        if self.des_enabled {
-            let epoch: u64 = self
-                .mcs
-                .iter()
-                .map(MemoryController::queue_release_epoch)
-                .sum();
-            if epoch != self.release_epoch {
-                self.release_epoch = epoch;
-                for (w, qb) in self
-                    .core_wake
-                    .iter_mut()
-                    .zip(self.core_wake_qblocked.iter_mut())
-                {
-                    if *qb {
-                        *w = 0;
-                        *qb = false;
-                    }
-                }
-            }
-        }
         for _ in 0..CPU_CYCLES_PER_MC_CYCLE {
-            for (i, core) in self.cores.iter_mut().enumerate() {
-                // Calendar fast path: the cached bound proves this tick
-                // would change nothing but the stall counter.
-                if self.core_wake[i] > self.cpu_now.raw() {
-                    core.advance_stalled(1);
-                    continue;
-                }
+            for core in &mut self.cores {
                 let mut port = Port {
                     mcs: &mut self.mcs,
                     cfg: &self.cfg,
                 };
-                let progress = core.tick(self.cpu_now, &mut port);
-                if self.des_enabled && !progress {
-                    let mcs = &self.mcs;
-                    let cfg = &self.cfg;
-                    let single = mcs.len() == 1;
-                    let (span, qb) = core.next_wake(self.cpu_now, |op, addr| {
-                        let ch = if single {
-                            0
-                        } else {
-                            cfg.dram
-                                .geometry
-                                .decode(addr, cfg.controller.mapping)
-                                .channel
-                                .index()
-                        };
-                        mcs[ch].can_accept(kind_of(op))
-                    });
-                    if span > 0 {
-                        self.core_wake[i] = self.cpu_now.raw().saturating_add(span);
-                        self.core_wake_qblocked[i] = qb;
-                    }
-                }
+                core.tick(self.cpu_now, &mut port);
             }
             self.cpu_now += 1;
         }
+        for ch in 0..self.mcs.len() {
+            self.mcs[ch].tick();
+            self.deliver(ch);
+        }
+    }
+
+    /// Hands channel `ch`'s finished reads to their cores, leaving them
+    /// in `completions_buf`.
+    fn deliver(&mut self, ch: usize) {
+        let t0 = M::ENABLED.then(nuat_obs::clock::now);
         let channels = self.mcs.len();
-        let mut buf = std::mem::take(&mut self.completions_buf);
-        for (ch, mc) in self.mcs.iter_mut().enumerate() {
-            mc.tick();
-            let t0 = if M::ENABLED {
-                Some(std::time::Instant::now())
-            } else {
-                None
-            };
-            buf.clear();
-            mc.drain_completions_into(&mut buf);
-            for done in &buf {
-                self.cores[done.request.core]
-                    .complete_read(token(done.request.id.0, ch, channels), self.cpu_now);
-                // The wake entry assumed no delivery; recompute next step.
-                self.core_wake[done.request.core] = 0;
-                self.core_wake_qblocked[done.request.core] = false;
-            }
-            if let Some(t) = t0 {
-                mc.metrics_mut()
-                    .add(Counter::PhaseDrainNanos, t.elapsed().as_nanos() as u64);
-            }
+        let mc = &mut self.mcs[ch];
+        let now = mc.now().to_cpu();
+        self.completions_buf.clear();
+        mc.drain_completions_into(&mut self.completions_buf);
+        for done in &self.completions_buf {
+            // Read data reaches the core at the start of the memory cycle
+            // after the RD issued. USIMM waits for the last data beat,
+            // `done.done.to_cpu()` (a known deviation, see EXPERIMENTS.md).
+            let at = now;
+            self.cores[done.request.core].complete_read(token(done.request.id.0, ch, channels), at);
         }
-        self.completions_buf = buf;
-    }
-
-    fn all_idle(&self) -> bool {
-        self.mcs.iter().all(MemoryController::is_idle)
-    }
-
-    /// Memory-controller cycles (= steps) the whole system can provably
-    /// skip: every controller is inside a dead busy span AND every core
-    /// is inert for the corresponding CPU cycles (stalled on a read,
-    /// blocked on a full queue, or finished). 0 when the next step must
-    /// run for real.
-    ///
-    /// Each controller's contribution (`skippable_cycles`) is its
-    /// cached busy-event horizon, which the ready-set wheel keeps as an
-    /// O(1) peek of the next due bank/refresh key (DESIGN.md §7
-    /// "Incremental ready-set scheduling") — so probing quiescence
-    /// every lockstep iteration costs O(channels), not
-    /// O(channels × banks), in both this sequential loop and the
-    /// sharded barrier loop below.
-    fn quiescent_steps(&self) -> u64 {
-        let mc_span = self
-            .mcs
-            .iter()
-            .map(MemoryController::skippable_cycles)
-            .min()
-            .unwrap_or(0);
-        if mc_span == 0 {
-            return 0;
-        }
-        let mut cpu_span = u64::MAX;
-        let single = self.mcs.len() == 1;
-        for (i, core) in self.cores.iter().enumerate() {
-            // Reuse the calendar entry when it is still live: entries
-            // that assumed a full queue are excluded because a release
-            // since caching could have shortened them (the live
-            // `can_accept` probe below is always exact).
-            let cached = if self.core_wake[i] > self.cpu_now.raw() && !self.core_wake_qblocked[i] {
-                self.core_wake[i] - self.cpu_now.raw()
-            } else {
-                core.quiescent_cycles(self.cpu_now, |op, addr| {
-                    let ch = if single {
-                        0
-                    } else {
-                        self.cfg
-                            .dram
-                            .geometry
-                            .decode(addr, self.cfg.controller.mapping)
-                            .channel
-                            .index()
-                    };
-                    self.mcs[ch].can_accept(kind_of(op))
-                })
-            };
-            cpu_span = cpu_span.min(cached);
-            if cpu_span < CPU_CYCLES_PER_MC_CYCLE {
-                return 0;
-            }
-        }
-        mc_span.min(cpu_span / CPU_CYCLES_PER_MC_CYCLE)
-    }
-
-    /// Bulk-advances `n` whole steps of a quiescent span (see
-    /// [`quiescent_steps`](Self::quiescent_steps)): cores accumulate
-    /// stall cycles, controllers bulk-advance their dead span, and no
-    /// requests, commands or completions can occur by construction.
-    fn skip_steps(&mut self, n: u64) {
-        for core in &mut self.cores {
-            core.advance_stalled(CPU_CYCLES_PER_MC_CYCLE * n);
-        }
-        self.cpu_now += CPU_CYCLES_PER_MC_CYCLE * n;
-        for mc in &mut self.mcs {
-            mc.run_for(n);
+        if let Some(t0) = t0 {
+            mc.metrics_mut().add(
+                Counter::PhaseDrainNanos,
+                nuat_obs::clock::now().saturating_sub(t0),
+            );
         }
     }
 
@@ -596,33 +476,13 @@ impl<S: TraceSink, M: MetricsSink> System<S, M> {
     /// The shared simulation loop: runs to completion or the cap, then
     /// drains the controllers (posted writes).
     fn run_core(&mut self, max_mc_cycles: u64, warmup_reads: u64) {
-        let workers = self
-            .channel_workers
-            .map(|n| n.clamp(1, self.mcs.len().max(1)))
-            .unwrap_or_else(|| channel_worker_count(self.mcs.len()));
-        if workers > 1 {
-            self.run_core_sharded(max_mc_cycles, warmup_reads, workers);
-            return;
-        }
         let mut warm = warmup_reads == 0;
-        while !self.is_done() && self.mc_now() < max_mc_cycles {
-            // Joint dead-span skip: when every controller is timing-
-            // blocked and every core is memory-stalled, the next span of
-            // steps is a provable no-op — cross it in one bulk advance.
-            let span = self.quiescent_steps().min(max_mc_cycles - self.mc_now());
-            if span > 0 {
-                self.skip_steps(span);
-                continue;
-            }
-            self.step();
-            if !warm {
-                let reads: u64 = self.mcs.iter().map(|m| m.stats().reads_completed).sum();
-                if reads >= warmup_reads {
-                    for mc in &mut self.mcs {
-                        mc.reset_stats();
-                    }
-                    warm = true;
-                }
+        if self.des_enabled {
+            self.run_events(max_mc_cycles, warmup_reads, &mut warm);
+        } else {
+            while !self.is_done() && self.mc_now() < max_mc_cycles {
+                self.step();
+                self.warm_up(&mut warm, warmup_reads);
             }
         }
         // Post-retirement drain: no new requests arrive, so the only
@@ -630,7 +490,7 @@ impl<S: TraceSink, M: MetricsSink> System<S, M> {
         // decisions. The channels stay in lockstep (idle channels keep
         // refreshing while others drain), so bulk-skip exactly the span
         // every channel agrees is quiet and tick the rest one by one.
-        while !self.all_idle() && self.mc_now() < max_mc_cycles {
+        while !self.mcs.iter().all(MemoryController::is_idle) && self.mc_now() < max_mc_cycles {
             let span = self
                 .mcs
                 .iter()
@@ -650,316 +510,119 @@ impl<S: TraceSink, M: MetricsSink> System<S, M> {
         }
     }
 
-    /// Channel-sharded variant of [`run_core`](Self::run_core): the
-    /// per-channel controllers tick on `workers` persistent scoped
-    /// threads while the main thread keeps everything else — CPU
-    /// subcycles, completion draining, warmup bookkeeping — exactly
-    /// where the sequential loop runs it. Enabled by `NUAT_CHANNEL_JOBS`
-    /// (see [`channel_worker_count`]).
-    ///
-    /// **Byte-identity argument.** The sequential step interleaves
-    /// `tick(ch)` with `drain(ch)` in channel order; here all ticks run
-    /// first (in parallel) and all drains after (on the main thread, in
-    /// channel order). The reorder is invisible because a tick mutates
-    /// only its own controller — channels share no DRAM state and never
-    /// read the cores — while a drain mutates only the cores and its own
-    /// controller's completion queue. Likewise `run_for` bulk-advances
-    /// are per-channel dead spans with no cross-channel reads. Every
-    /// cross-channel-observable effect (request admission, completion
-    /// delivery, stats reset, aggregation) happens on the main thread in
-    /// the sequential order, so the result — stats, sinks, goldens — is
-    /// byte-identical to `NUAT_CHANNEL_JOBS=1` for any worker count and
-    /// any thread schedule. The determinism guard pins this.
-    ///
-    /// Rendezvous is two [`SpinBarrier`]s per phase (release, join);
-    /// phases never overlap, so the per-channel mutex cells are always
-    /// uncontended and exist only to carry `&mut` access across threads.
-    fn run_core_sharded(&mut self, max_mc_cycles: u64, warmup_reads: u64, workers: usize) {
-        const PH_TICK: u8 = 0;
-        const PH_RUN: u8 = 1;
-        const PH_EXIT: u8 = 2;
-        let channels = self.mcs.len();
-        let cfg = &self.cfg;
-        let cores = &mut self.cores;
-        let des = self.des_enabled;
-        let core_wake = &mut self.core_wake;
-        let core_wake_qblocked = &mut self.core_wake_qblocked;
-        let mut release_epoch = self.release_epoch;
-        let cells: Vec<Mutex<&mut MemoryController<S, M>>> =
-            self.mcs.iter_mut().map(Mutex::new).collect();
-        let lock = |ch: usize| {
-            cells[ch]
-                .lock()
-                .expect("no prior panic holding a channel cell")
-        };
-        let phase = AtomicU8::new(PH_TICK);
-        let span_arg = AtomicU64::new(0);
-        let start = SpinBarrier::new(workers + 1);
-        let done = SpinBarrier::new(workers + 1);
-        let mut cpu_now = self.cpu_now;
-        let mut buf = std::mem::take(&mut self.completions_buf);
-        std::thread::scope(|scope| {
-            for w in 0..workers {
-                let cells = &cells;
-                let phase = &phase;
-                let span_arg = &span_arg;
-                let start = &start;
-                let done = &done;
-                scope.spawn(move || {
-                    // Barrier-wait accounting: time parked at either
-                    // rendezvous, summed locally (no shared state on the
-                    // hot path) and deposited into this worker's first
-                    // owned channel once at exit. Compiles out entirely
-                    // under `NullMetrics`.
-                    let mut wait_nanos: u64 = 0;
-                    let mut phases: u64 = 0;
-                    loop {
-                        let t0 = if M::ENABLED {
-                            Some(std::time::Instant::now())
-                        } else {
-                            None
-                        };
-                        start.wait();
-                        if let Some(t) = t0 {
-                            wait_nanos += t.elapsed().as_nanos() as u64;
-                        }
-                        let p = phase.load(Ordering::Acquire);
-                        if p == PH_EXIT {
-                            break;
-                        }
-                        if M::ENABLED {
-                            phases += 1;
-                        }
-                        let n = span_arg.load(Ordering::Acquire);
-                        let mut ch = w;
-                        while ch < channels {
-                            let mut mc = cells[ch].lock().expect("no prior panic in a worker");
-                            if p == PH_TICK {
-                                mc.tick();
-                            } else {
-                                mc.run_for(n);
-                            }
-                            ch += workers;
-                        }
-                        let t1 = if M::ENABLED {
-                            Some(std::time::Instant::now())
-                        } else {
-                            None
-                        };
-                        done.wait();
-                        if let Some(t) = t1 {
-                            wait_nanos += t.elapsed().as_nanos() as u64;
-                        }
-                    }
-                    if M::ENABLED && w < channels {
-                        // Workers have distinct first channels, and main
-                        // only rejoins the cells after the scope joins,
-                        // so this final deposit is uncontended.
-                        let mut mc = cells[w].lock().expect("no prior panic in a worker");
-                        mc.metrics_mut()
-                            .add(Counter::ShardBarrierWaitNanos, wait_nanos);
-                        mc.metrics_mut().add(Counter::ShardPhases, phases);
-                    }
-                });
+    /// Resets the statistics once `warmup_reads` reads have completed.
+    fn warm_up(&mut self, warm: &mut bool, warmup_reads: u64) {
+        if *warm {
+            return;
+        }
+        let reads: u64 = self.mcs.iter().map(|m| m.stats().reads_completed).sum();
+        if reads >= warmup_reads {
+            for mc in &mut self.mcs {
+                mc.reset_stats();
             }
-            // Releases the parked workers into one controller phase and
-            // joins them back before main touches the cells again.
-            let run_phase = |p: u8, n: u64| {
-                phase.store(p, Ordering::Release);
-                span_arg.store(n, Ordering::Release);
-                start.wait();
-                done.wait();
+            *warm = true;
+        }
+    }
+
+    /// The event loop behind [`run`](Self::run): produces exactly the
+    /// per-cycle loop's requests, commands and completions. A memory
+    /// cycle is processed only when a controller needs a full tick in it
+    /// or a core is filed to probe its port in it; the controllers cross
+    /// the cycles between in one bulk advance, which cannot issue a
+    /// command, complete a read or free a queue slot.
+    ///
+    /// A core is caught up to the calendar's time only when its state is
+    /// needed: before its filed tick, when a read completes for it (it is
+    /// then run ahead again), and at the end of the run. A core refused
+    /// by a full queue is filed again for the first CPU cycle after a
+    /// controller tick that leaves its queue room.
+    fn run_events(&mut self, max_mc_cycles: u64, warmup_reads: u64, warm: &mut bool) {
+        let mut cal = Calendar::new(self.cores.len());
+        for (i, core) in self.cores.iter_mut().enumerate() {
+            cal.schedule(i, core);
+        }
+        loop {
+            let m = self.mc_now();
+            let stop = if cal.unfinished == 0 {
+                max_mc_cycles.min(cal.end)
+            } else {
+                max_mc_cycles
             };
-            let mc_now = || lock(0).now().raw();
-            let mut warm = warmup_reads == 0;
-            while !cores.iter().all(Core::is_done) && mc_now() < max_mc_cycles {
-                // Joint dead-span skip, as in the sequential loop.
-                let span = {
-                    let mc_span = cells
-                        .iter()
-                        .map(|c| {
-                            c.lock()
-                                .expect("no prior panic holding a channel cell")
-                                .skippable_cycles()
-                        })
-                        .min()
-                        .unwrap_or(0);
-                    let mut span = 0;
-                    if mc_span > 0 {
-                        let mut cpu_span = u64::MAX;
-                        let mut inert = true;
-                        for (i, core) in cores.iter().enumerate() {
-                            // Calendar reuse, as in `quiescent_steps`:
-                            // queue-blocked entries always re-probe.
-                            let c = if core_wake[i] > cpu_now.raw() && !core_wake_qblocked[i] {
-                                core_wake[i] - cpu_now.raw()
-                            } else {
-                                core.quiescent_cycles(cpu_now, |op, addr| {
-                                    let ch = cfg
-                                        .dram
-                                        .geometry
-                                        .decode(addr, cfg.controller.mapping)
-                                        .channel
-                                        .index();
-                                    lock(ch).can_accept(kind_of(op))
-                                })
-                            };
-                            cpu_span = cpu_span.min(c);
-                            if cpu_span < CPU_CYCLES_PER_MC_CYCLE {
-                                inert = false;
-                                break;
-                            }
-                        }
-                        if inert {
-                            span = mc_span.min(cpu_span / CPU_CYCLES_PER_MC_CYCLE);
-                        }
-                    }
-                    span.min(max_mc_cycles - mc_now())
+            if m >= stop {
+                break;
+            }
+            let next = self
+                .mcs
+                .iter()
+                .map(|mc| m + mc.skippable_cycles())
+                .min()
+                .unwrap_or(m)
+                .min(cal.next() / CPU_CYCLES_PER_MC_CYCLE)
+                .min(stop);
+            if next > m {
+                for mc in &mut self.mcs {
+                    mc.run_for(next - m);
+                }
+                if next == stop {
+                    break;
+                }
+            }
+            let end = McCycle::new(next + 1).to_cpu().raw();
+            while let Some((at, i)) = cal.pop_before(end) {
+                let core = &mut self.cores[i];
+                core.catch_up(CpuCycle::new(at));
+                let mut port = Port {
+                    mcs: &mut self.mcs,
+                    cfg: &self.cfg,
                 };
-                if span > 0 {
-                    for core in cores.iter_mut() {
-                        core.advance_stalled(CPU_CYCLES_PER_MC_CYCLE * span);
-                    }
-                    cpu_now += CPU_CYCLES_PER_MC_CYCLE * span;
-                    run_phase(PH_RUN, span);
-                    continue;
+                core.tick(CpuCycle::new(at), &mut port);
+                if core.blocked_on().is_some() {
+                    cal.blocked.push(i);
                 }
-                // One step: CPU subcycles on main, ticks on the workers,
-                // completion drain back on main in channel order. Wake
-                // entries work exactly as in the sequential `step`;
-                // the epoch probe locks each (uncontended) cell once.
-                if des {
-                    let epoch: u64 = (0..channels).map(|ch| lock(ch).queue_release_epoch()).sum();
-                    if epoch != release_epoch {
-                        release_epoch = epoch;
-                        for (w, qb) in core_wake.iter_mut().zip(core_wake_qblocked.iter_mut()) {
-                            if *qb {
-                                *w = 0;
-                                *qb = false;
-                            }
-                        }
-                    }
-                }
-                for _ in 0..CPU_CYCLES_PER_MC_CYCLE {
-                    for (i, core) in cores.iter_mut().enumerate() {
-                        if core_wake[i] > cpu_now.raw() {
-                            core.advance_stalled(1);
-                            continue;
-                        }
-                        let mut port = ShardedPort { cells: &cells, cfg };
-                        let progress = core.tick(cpu_now, &mut port);
-                        if des && !progress {
-                            let (span, qb) = core.next_wake(cpu_now, |op, addr| {
-                                let ch = cfg
-                                    .dram
-                                    .geometry
-                                    .decode(addr, cfg.controller.mapping)
-                                    .channel
-                                    .index();
-                                lock(ch).can_accept(kind_of(op))
-                            });
-                            if span > 0 {
-                                core_wake[i] = cpu_now.raw().saturating_add(span);
-                                core_wake_qblocked[i] = qb;
-                            }
-                        }
-                    }
-                    cpu_now += 1;
-                }
-                run_phase(PH_TICK, 0);
-                for (ch, cell) in cells.iter().enumerate() {
-                    let t0 = if M::ENABLED {
-                        Some(std::time::Instant::now())
-                    } else {
-                        None
-                    };
-                    let mut mc = cell.lock().expect("no prior panic holding a channel cell");
-                    buf.clear();
-                    mc.drain_completions_into(&mut buf);
-                    drop(mc);
-                    for done in &buf {
-                        cores[done.request.core]
-                            .complete_read(token(done.request.id.0, ch, channels), cpu_now);
-                        core_wake[done.request.core] = 0;
-                        core_wake_qblocked[done.request.core] = false;
-                    }
-                    if let Some(t) = t0 {
-                        lock(ch)
-                            .metrics_mut()
-                            .add(Counter::PhaseDrainNanos, t.elapsed().as_nanos() as u64);
-                    }
-                }
-                if !warm {
-                    let reads: u64 = cells
-                        .iter()
-                        .map(|c| {
-                            c.lock()
-                                .expect("no prior panic holding a channel cell")
-                                .stats()
-                                .reads_completed
-                        })
-                        .sum();
-                    if reads >= warmup_reads {
-                        for ch in 0..channels {
-                            lock(ch).reset_stats();
-                        }
-                        warm = true;
-                    }
+                cal.schedule(i, core);
+            }
+            for ch in 0..self.mcs.len() {
+                self.mcs[ch].tick();
+                self.deliver(ch);
+                for done in &self.completions_buf {
+                    let i = done.request.core;
+                    cal.schedule(i, &mut self.cores[i]);
                 }
             }
-            // Post-retirement drain, sharded the same way.
-            loop {
-                let now = mc_now();
-                if now >= max_mc_cycles {
-                    break;
+            let mut blocked = std::mem::take(&mut cal.blocked);
+            blocked.retain(|&i| {
+                let (op, addr) = self.cores[i]
+                    .blocked_on()
+                    .expect("a filed blocked core stays blocked until ticked");
+                let ch = channel_of(&self.cfg, self.mcs.len(), addr);
+                let room = self.mcs[ch].can_accept(kind_of(op));
+                if room {
+                    cal.set(i, end);
                 }
-                let idle = cells.iter().all(|c| {
-                    c.lock()
-                        .expect("no prior panic holding a channel cell")
-                        .is_idle()
-                });
-                if idle {
-                    break;
-                }
-                let span = cells
-                    .iter()
-                    .map(|c| {
-                        c.lock()
-                            .expect("no prior panic holding a channel cell")
-                            .skippable_cycles()
-                    })
-                    .min()
-                    .unwrap_or(0)
-                    .min(max_mc_cycles - now);
-                if span > 0 {
-                    run_phase(PH_RUN, span);
-                } else {
-                    run_phase(PH_TICK, 0);
-                }
-            }
-            phase.store(PH_EXIT, Ordering::Release);
-            start.wait();
-        });
-        self.cpu_now = cpu_now;
-        self.completions_buf = buf;
-        self.release_epoch = release_epoch;
+                !room
+            });
+            cal.blocked = blocked;
+            self.warm_up(warm, warmup_reads);
+        }
+        self.cpu_now = McCycle::new(self.mc_now()).to_cpu();
+        for core in &mut self.cores {
+            core.catch_up(self.cpu_now);
+        }
     }
 
     /// Aggregates the finished run into a [`SimResult`]. Multi-channel
     /// statistics are summed field-by-field (controller stats via
     /// `ControllerStats::merge`, device stats via
     /// [`nuat_dram::DeviceStats::merge`]); cycle counts take the
-    /// lockstep channel-0 value.
+    /// lockstep channel-0 value. A core that ran ahead and finished
+    /// after the cap counts as unfinished.
     fn result(&self) -> SimResult {
         let completed = self.is_done();
+        let end = self.cpu_now;
         let core_finish_cpu_cycles: Vec<u64> = self
             .cores
             .iter()
-            .map(|c| {
-                c.finished_at()
-                    .map(|t| t.raw())
-                    .unwrap_or(self.cpu_now.raw())
-            })
+            .map(|c| c.finished_at().filter(|&f| f < end).unwrap_or(end).raw())
             .collect();
         let execution_cpu_cycles = core_finish_cpu_cycles.iter().copied().max().unwrap_or(0);
         let elapsed = self.mc_now();

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Full verification gate: formatting, release build, test suite,
-# lint-clean clippy across every target, a compile check of the
+# Full verification gate: formatting, release build, test suite (debug
+# and release), the benchmark smoke run, lint-clean clippy across every target, a compile check of the
 # bench code (which `cargo test` does not build, so it could otherwise
 # rot silently), and a smoke run of the instrumentation stack
 # (trace_study self-checks its artifacts against end-of-run stats).
@@ -11,15 +11,15 @@ cd "$(dirname "$0")/.."
 cargo fmt --check
 cargo build --release
 cargo test -q
-# Replay the determinism goldens once under forced channel sharding.
-# The event calendar is on by default, so this is also the
-# DES + sharded-barrier replay: workers rendezvous on calendar time
-# and must be byte-identical to the sequential loop (DESIGN.md §7
-# "Channel sharding" / "Unified event calendar").
-NUAT_CHANNEL_JOBS=4 cargo test -q -p nuat-sim --test determinism_guard
-# ... once with the unified event calendar disabled: the per-cycle
-# stepping fallback must produce the same bytes (DESIGN.md §7
-# "Unified event calendar").
+# The suite again with debug assertions compiled out: release-only
+# arithmetic and the release failure messages must hold too.
+cargo test --release -q
+# Benchmark smoke: every workload end-to-end and traced at 1/50 scale
+# (exact replay, digest repeatability, campaign output determinism).
+bash benchmark/smoke.sh
+# Replay the determinism goldens with the unified event calendar
+# disabled: the per-cycle stepping fallback must produce the same
+# bytes (DESIGN.md §7 "Unified event calendar").
 NUAT_NO_DES=1 cargo test -q -p nuat-sim --test determinism_guard
 # ... and once with the ready-set wheel disabled: the legacy full-bank
 # scan must produce the same bytes (DESIGN.md §7 "Incremental ready-set

@@ -204,3 +204,76 @@ fn des_goldens_match_tick_loop() {
         }
     }
 }
+
+/// The calendar's corner cases against the per-cycle loop: processor
+/// shapes other than Table 3's (a small ROB, retire wider than fetch, a
+/// deep or empty pipeline), two ranks, power-down, postponed refresh, a
+/// warm-up reset, and a cycle cap that stops the run while cores still
+/// have work (a core that ran ahead past the cap must count as
+/// unfinished).
+#[test]
+fn des_matches_tick_across_configurations() {
+    type Tweak = fn(&mut SystemConfig);
+    let tweaks: [(&str, Tweak); 6] = [
+        ("small rob", |c| c.processor.rob_size = 6),
+        ("retire wider than fetch", |c| {
+            c.processor.retire_width = 4;
+            c.processor.fetch_width = 2;
+        }),
+        ("deep pipeline, 3-wide", |c| {
+            c.processor.pipeline_depth = 40;
+            c.processor.retire_width = 3;
+            c.processor.fetch_width = 3;
+        }),
+        ("no pipeline", |c| c.processor.pipeline_depth = 0),
+        ("two ranks, power-down", |c| {
+            c.dram.geometry.ranks_per_channel = 2;
+            c.controller.powerdown_after_idle = 32;
+        }),
+        ("postponed refresh, shallow queues", |c| {
+            c.controller.refresh_postpone_batches = 4;
+            c.controller.read_queue_capacity = 8;
+            c.controller.write_queue_capacity = 8;
+            c.controller.write_high_watermark = 6;
+            c.controller.write_low_watermark = 2;
+        }),
+    ];
+    let rc = RunConfig {
+        mem_ops_per_core: 400,
+        ..RunConfig::quick()
+    };
+    for (name, tweak) in tweaks {
+        let mut cfg = SystemConfig::with_cores(2);
+        tweak(&mut cfg);
+        let specs = [by_name("comm3").unwrap(), by_name("black").unwrap()];
+        let traces = traces_for(&specs, &cfg, &rc);
+        // (warm-up reads, cycle cap): a full run with a warm-up reset,
+        // and one capped well before the traces finish.
+        for (warmup, cap) in [(100, rc.max_mc_cycles), (0, 3_000)] {
+            let run = |des: bool| {
+                let mut sys = System::new(
+                    cfg,
+                    SchedulerKind::Nuat,
+                    PbGrouping::paper(5),
+                    traces.clone(),
+                );
+                if !des {
+                    sys.set_des(false);
+                    for mc in sys.controllers_mut() {
+                        mc.set_cycle_skip(false);
+                    }
+                }
+                sys.run_with_warmup(cap, warmup)
+            };
+            let (des, tick) = (run(true), run(false));
+            assert_eq!(des.completed, tick.completed, "{name}, cap {cap}");
+            assert_eq!(des.completed, cap == rc.max_mc_cycles, "{name}, cap {cap}");
+            assert_eq!(
+                fingerprint(&des),
+                fingerprint(&tick),
+                "{name}: warm-up {warmup}, cap {cap}"
+            );
+            assert_eq!(des.stats, tick.stats, "{name}: warm-up {warmup}, cap {cap}");
+        }
+    }
+}
