@@ -1,14 +1,10 @@
-//! Criterion micro-benchmark of wheel-driven vs full-scan candidate
-//! enumeration across channel geometries (1/2/4 ranks × 8/16 banks).
-//! Both sides measure one post-issue enumeration pass over the same
-//! saturated controller state: the full scan walks every bank
-//! (`bench_enumerate_candidates` bumps the gate generation so nothing
-//! short-circuits), the wheel path dirties a single bank and
-//! enumerates only the ready set (`bench_enumerate_candidates_wheel`),
-//! which is the steady-state shape of a real busy tick — one issued
-//! bank re-keyed, the rest riding their cached keys. The gap between
-//! the two is the O(banks) → O(ready) win the timing wheel exists for,
-//! and it should widen with the bank count.
+//! Criterion micro-benchmark of wheel-driven candidate enumeration
+//! across channel geometries (1/2/4 ranks × 8/16 banks): one post-issue
+//! enumeration pass over a saturated controller state, with a single
+//! bank dirtied and only the ready set enumerated
+//! (`bench_enumerate_candidates_wheel`) — the steady-state shape of a
+//! real busy tick, one issued bank re-keyed and the rest riding their
+//! cached keys. The cost should stay nearly flat as banks are added.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use nuat_core::{MemoryController, RequestKind, SchedulerKind};
@@ -18,7 +14,7 @@ use std::hint::black_box;
 /// A controller with `ranks × banks` geometry whose queues hold
 /// `depth` reads + `depth` writes spread over every bank, advanced far
 /// enough that a realistic blend of open rows, conflicts and timing
-/// gates is in place (same recipe as `candidate_enum`).
+/// gates is in place.
 fn saturated_controller(ranks: u64, banks: u64, depth: usize) -> MemoryController {
     let mut cfg = SystemConfig::default();
     cfg.dram.geometry.ranks_per_channel = ranks;
@@ -62,10 +58,6 @@ fn bench_candidate_wheel(c: &mut Criterion) {
     for ranks in [1u64, 2, 4] {
         for banks in [8u64, 16] {
             g.throughput(Throughput::Elements(1));
-            let mut scan_mc = saturated_controller(ranks, banks, 64);
-            g.bench_function(&format!("scan/{ranks}r{banks}b"), |b| {
-                b.iter(|| black_box(scan_mc.bench_enumerate_candidates()))
-            });
             let mut wheel_mc = saturated_controller(ranks, banks, 64);
             g.bench_function(&format!("wheel/{ranks}r{banks}b"), |b| {
                 b.iter(|| black_box(wheel_mc.bench_enumerate_candidates_wheel(&[0])))

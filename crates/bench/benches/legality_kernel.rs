@@ -1,7 +1,8 @@
 //! Criterion micro-benchmark of the issuing-tick legality kernel:
 //! per-bank scalar `BankGates` derivation with a branchy readiness /
-//! key-selection ladder (the retained `NUAT_NO_BATCH=1` path) vs the
-//! SWAR batch kernel (`LegalityTable::fill` + `ready_masks` +
+//! key-selection ladder (the shape of the controller's scalar
+//! `bank_key`, which the batch kernel is checked against) vs the SWAR
+//! batch kernel (`LegalityTable::fill` + `ready_masks` +
 //! `batch_bank_keys`) at 1/2/4 ranks × 8/16 banks.
 //!
 //! Both sides consume the same warmed controller's device state and the

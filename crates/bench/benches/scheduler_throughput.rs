@@ -151,24 +151,17 @@ fn measure3(mut run: impl FnMut() -> (u64, u64, f64)) -> (u64, u64, f64) {
 
 /// One end-to-end run of `mem_ops` operations of comm3 under `kind`,
 /// with trace generation and system construction outside the timed
-/// region. `skip` selects between the event-driven busy-period loop
-/// (the default execution mode) and the legacy strictly-per-tick loop.
-/// Returns the simulated cycle count, the cycles crossed in bulk by the
-/// skip machinery, and wall-clock seconds.
-fn one_run(kind: SchedulerKind, mem_ops: usize, skip: bool) -> (u64, u64, f64) {
+/// region. Returns the simulated cycle count, the cycles crossed in
+/// bulk by busy skipping, and wall-clock seconds.
+fn one_run(kind: SchedulerKind, mem_ops: usize) -> (u64, u64, f64) {
     let trace = TraceGenerator::new(by_name("comm3").unwrap(), DramGeometry::default(), 7)
         .generate(mem_ops);
-    let mut sys = System::new(
+    let sys = System::new(
         SystemConfig::with_cores(1),
         kind,
         PbGrouping::paper(5),
         vec![trace],
     );
-    if !skip {
-        for mc in sys.controllers_mut() {
-            mc.set_cycle_skip(false);
-        }
-    }
     let t0 = std::time::Instant::now();
     let r = sys.run(200_000_000);
     (r.mc_cycles, r.cycles_skipped, t0.elapsed().as_secs_f64())
@@ -178,8 +171,8 @@ fn one_run(kind: SchedulerKind, mem_ops: usize, skip: bool) -> (u64, u64, f64) {
 /// predictors, allocator pools), then the median wall time of three
 /// timed runs. Median rather than best: robust to a stray descheduling
 /// without rewarding a lucky outlier.
-fn measure_end_to_end(kind: SchedulerKind, mem_ops: usize, skip: bool) -> (u64, u64, f64) {
-    measure3(|| one_run(kind, mem_ops, skip))
+fn measure_end_to_end(kind: SchedulerKind, mem_ops: usize) -> (u64, u64, f64) {
+    measure3(|| one_run(kind, mem_ops))
 }
 
 /// Formats one `BENCH_scheduler.json` result row. Every row carries
@@ -206,10 +199,9 @@ fn json_row(
 }
 
 /// Emits `BENCH_scheduler.json` at the workspace root: simulated
-/// cycles/sec for every scheduling policy in both execution modes
-/// (`skip` = event-driven busy-period loop, `no_skip` = legacy
-/// per-tick loop) at the default queue depth, plus a saturated
-/// queue-depth sweep (32/64/128/256) that makes the indexed
+/// cycles/sec for every scheduling policy end to end on comm3 at the
+/// default queue depth (`"mode": "skip"`, the one execution mode), plus
+/// a saturated queue-depth sweep (32/64/128/256) that makes the indexed
 /// enumeration's occupancy scaling machine-checkable. Machine-readable
 /// so CI can track hot-path regressions across commits.
 ///
@@ -228,31 +220,27 @@ fn emit_machine_readable() {
     ];
     let mut entries = Vec::new();
     for kind in schedulers {
-        for skip in [true, false] {
-            let mode = if skip { "skip" } else { "no_skip" };
-            let (cycles, skipped, secs) = measure_end_to_end(kind, MEM_OPS, skip);
-            let rate = cycles as f64 / secs;
-            println!(
-                "{:<16} {:<8} {:>10} simulated cycles ({:>10} skipped) in {:.4}s = {:>12.0} cycles/sec",
-                kind.name(),
-                mode,
-                cycles,
-                skipped,
-                secs,
-                rate
-            );
-            entries.push(json_row(
-                kind.name(),
-                mode,
-                "comm3",
-                DEFAULT_DEPTH,
-                1,
-                cycles,
-                skipped,
-                secs,
-                rate,
-            ));
-        }
+        let (cycles, skipped, secs) = measure_end_to_end(kind, MEM_OPS);
+        let rate = cycles as f64 / secs;
+        println!(
+            "{:<16} {:>10} simulated cycles ({:>10} skipped) in {:.4}s = {:>12.0} cycles/sec",
+            kind.name(),
+            cycles,
+            skipped,
+            secs,
+            rate
+        );
+        entries.push(json_row(
+            kind.name(),
+            "skip",
+            "comm3",
+            DEFAULT_DEPTH,
+            1,
+            cycles,
+            skipped,
+            secs,
+            rate,
+        ));
     }
     for kind in schedulers {
         for depth in [32usize, 64, 128, 256] {

@@ -5,22 +5,18 @@
 //! ```text
 //! cargo run --release -p nuat-bench --bin saturated -- \
 //!     [--scheduler NAME] [--depth N] [--channels N] [--cycles N] \
-//!     [--compare DEPTH_B]
+//!     [--compare DEPTH_B [--phases]]
 //! ```
 //!
 //! `--compare B` interleaves depth `--depth` and depth `B` in
 //! millisecond slices on one thread and reports the drift-cancelled
 //! wall-time ratio (see `saturated_compare_depths`).
 //!
-//! `--phases` upgrades the comparison to per-issuing-tick phase
+//! `--phases` upgrades that comparison to per-issuing-tick phase
 //! attribution: both sides carry metrics recorders and the report is a
 //! side-by-side table of nanoseconds per issuing tick in each
 //! controller phase, plus the combined enumerate+choose+horizon+rekey
-//! row the batch-kernel acceptance bar is measured on. Alone,
-//! `--phases` compares the SWAR batch kernel on (A) vs off (B) at the
-//! same `--depth` — the two builds of the `NUAT_NO_BATCH` escape hatch
-//! in one process; combined with `--compare B` it attributes the two
-//! depths instead (both with the default kernel).
+//! row (the issuing tick's hot phases).
 //!
 //! `--metrics PATH` additionally runs one metrics-attached channel at
 //! the same scheduler/depth/cycles, asserts that every registry counter
@@ -36,14 +32,14 @@ use nuat_core::SchedulerKind;
 use nuat_obs::{health_report, jsonl_lines, prometheus_text, Counter, MetricsRecorder};
 
 /// Prints the side-by-side per-issuing-tick phase table for two
-/// recorders, returning the combined enumerate+choose+horizon+rekey
-/// nanos-per-tick of each side (the acceptance-bar scalar).
+/// recorders, ending with the combined enumerate+choose+horizon+rekey
+/// row.
 fn print_phase_table(
     label_a: &str,
     label_b: &str,
     rec_a: &MetricsRecorder,
     rec_b: &MetricsRecorder,
-) -> (f64, f64) {
+) {
     let phases = [
         ("power", Counter::PhasePowerNanos),
         ("refresh", Counter::PhaseRefreshNanos),
@@ -87,13 +83,12 @@ fn print_phase_table(
         bar.iter().map(|&c| per_tick(rec_b, c)).sum::<f64>(),
     );
     println!(
-        "  {:<12} {:>14.1} {:>14.1} {:>+7.1}%   <- acceptance bar",
+        "  {:<12} {:>14.1} {:>14.1} {:>+7.1}%",
         "enum+cho+hor+rek",
         a,
         b,
         if b > 0.0 { (a / b - 1.0) * 100.0 } else { 0.0 },
     );
-    (a, b)
 }
 
 fn arg<T: std::str::FromStr>(name: &str, default: T) -> T {
@@ -119,25 +114,13 @@ fn main() {
     };
     let depth_b: usize = arg("--compare", 0);
     if std::env::args().any(|a| a == "--phases") {
-        // With --compare B: attribute the two depths. Alone: attribute
-        // the batch kernel on (A) vs off (B) at the same depth — the
-        // NUAT_NO_BATCH escape hatch's two builds in one process.
-        let (a, b, label_a, label_b) = if depth_b > 0 {
-            (
-                (depth, true),
-                (depth_b, true),
-                format!("A(depth {depth})"),
-                format!("B(depth {depth_b})"),
-            )
-        } else {
-            (
-                (depth, true),
-                (depth, false),
-                "A(batch on)".to_string(),
-                "B(batch off)".to_string(),
-            )
-        };
-        let (rec_a, rec_b, wall_a, wall_b) = saturated_compare_phases(kind, a, b, cycles, 200_000);
+        if depth_b == 0 {
+            eprintln!("--phases attributes a depth comparison: add --compare DEPTH_B");
+            std::process::exit(2);
+        }
+        let (label_a, label_b) = (format!("A(depth {depth})"), format!("B(depth {depth_b})"));
+        let (rec_a, rec_b, wall_a, wall_b) =
+            saturated_compare_phases(kind, depth, depth_b, cycles, 200_000);
         println!(
             "{} interleaved: {label_a} {:.0} cyc/s vs {label_b} {:.0} cyc/s (ratio {:.4})",
             kind.name(),
@@ -145,16 +128,7 @@ fn main() {
             cycles as f64 / wall_b,
             wall_a / wall_b,
         );
-        let (bar_a, bar_b) = print_phase_table(&label_a, &label_b, &rec_a, &rec_b);
-        if depth_b == 0 {
-            println!(
-                "batch kernel: combined hot-phase time per issuing tick {:.1} -> {:.1} ns \
-                 ({:+.1}%)",
-                bar_b,
-                bar_a,
-                (bar_a / bar_b - 1.0) * 100.0,
-            );
-        }
+        print_phase_table(&label_a, &label_b, &rec_a, &rec_b);
         return;
     }
     if depth_b > 0 {

@@ -173,14 +173,6 @@ impl<M: nuat_obs::MetricsSink> SaturatedDriver<M> {
         self.mc.now().raw()
     }
 
-    /// Forces the SWAR batch legality kernel on or off on the driven
-    /// controller — the programmatic form of the `NUAT_NO_BATCH`
-    /// escape hatch, used by the `--phases` A/B so both builds run in
-    /// one process and share the host's clock drift.
-    pub fn set_batch_kernel(&mut self, enabled: bool) {
-        self.mc.set_batch_kernel(enabled);
-    }
-
     /// Consumes the driver, yielding the controller and its statistics.
     pub fn into_controller(self) -> nuat_core::MemoryController<nuat_obs::NullSink, M> {
         self.mc
@@ -217,21 +209,18 @@ pub fn saturated_compare_depths(
     (wall_a, wall_b)
 }
 
-/// Drift-resistant *phase-attributed* A/B: two metrics-instrumented
-/// saturated drivers — each side a `(queue depth, batch kernel on)`
-/// configuration — advance in alternating `slice`-cycle granules on one
-/// thread, exactly like [`saturated_compare_depths`], but each side
-/// carries a [`nuat_obs::MetricsRecorder`] so the wall time decomposes
-/// into the controller's self-profiled phases (enumerate / choose /
-/// issue / rekey / horizon / …) per issuing tick. Returns the two
-/// recorders plus per-side total wall seconds. This is the measurement
-/// behind the batch-kernel acceptance bar: combined
-/// enumerate+choose+horizon+rekey nanoseconds per issuing tick, batch
-/// on vs off, interleaved on the same box.
+/// Drift-resistant *phase-attributed* A/B of two queue depths: two
+/// metrics-instrumented saturated drivers advance in alternating
+/// `slice`-cycle granules on one thread, exactly like
+/// [`saturated_compare_depths`], but each side carries a
+/// [`nuat_obs::MetricsRecorder`] so the wall time decomposes into the
+/// controller's self-profiled phases (enumerate / choose / issue /
+/// rekey / horizon / …) per issuing tick. Returns the two recorders
+/// plus per-side total wall seconds.
 pub fn saturated_compare_phases(
     kind: nuat_core::SchedulerKind,
-    a: (usize, bool),
-    b: (usize, bool),
+    depth_a: usize,
+    depth_b: usize,
     mc_cycles: u64,
     slice: u64,
 ) -> (
@@ -242,18 +231,16 @@ pub fn saturated_compare_phases(
 ) {
     let mut da = SaturatedDriver::with_metrics(
         kind,
-        a.0,
+        depth_a,
         0,
         nuat_obs::MetricsRecorder::with_sample_interval(mc_cycles / 64),
     );
-    da.set_batch_kernel(a.1);
     let mut db = SaturatedDriver::with_metrics(
         kind,
-        b.0,
+        depth_b,
         0,
         nuat_obs::MetricsRecorder::with_sample_interval(mc_cycles / 64),
     );
-    db.set_batch_kernel(b.1);
     let (mut wall_a, mut wall_b) = (0.0, 0.0);
     let mut target = 0u64;
     while target < mc_cycles {

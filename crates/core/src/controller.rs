@@ -14,10 +14,13 @@
 //! 5. if nothing else issued and a refresh is pending, force-close an
 //!    open bank.
 //!
-//! Candidate legality is pre-filtered with cheap per-bank/per-rank gate
-//! checks that mirror the device's rule set; the final `issue` call
-//! re-validates everything (including the charge-physics check), so any
-//! divergence between the two is caught immediately.
+//! Only the banks whose earliest-actionable key has come due in a
+//! timing wheel are enumerated, their legality read off gate lanes that
+//! mirror the device's rule set; the final `issue` call re-validates
+//! everything (including the charge-physics check), so any divergence
+//! between the two is caught immediately. Cycles in which provably
+//! nothing can happen are crossed in bulk. The [`oracle`] module holds
+//! the naive per-cycle reference all of this is tested against.
 
 use crate::candidate::{Candidate, CandidateKind};
 use crate::pbr::PbrAcquisition;
@@ -37,6 +40,9 @@ use nuat_obs::{
 };
 use nuat_types::{Bank, McCycle, PhysAddr, Rank, Row, SystemConfig};
 
+#[doc(hidden)]
+pub mod oracle;
+
 /// A read request whose data has returned.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Completion {
@@ -53,7 +59,7 @@ pub struct Completion {
 /// only cleared and refilled).
 ///
 /// Invariants: contents are meaningless between ticks (except the
-/// per-bank gate cache, whose validity is tracked explicitly by
+/// per-rank legality tables, whose validity is tracked explicitly by
 /// generation) — every other user must clear/refill before reading; the
 /// buffers are moved out of the controller (`std::mem::take`) for the
 /// duration of a tick so the borrow checker sees them as disjoint from
@@ -87,30 +93,12 @@ struct TickScratch {
     /// an issued activate the hint `note_row_open` needs to skip its
     /// match-list rebuild walk.
     candidate_slots: Vec<u32>,
-    /// Per-bank earliest-legal-cycle cache: the bank's contribution to
-    /// the gate horizon the last time it was enumerated and produced no
-    /// candidate. While valid (see `bank_gate_gen`) and still in the
-    /// future, the bank's whole enumeration — request walk, legality
-    /// probes — is skipped and this value reused; the timing gates are
-    /// monotone and every other input is generation-tracked, so the
-    /// reused value is exactly what a re-enumeration would produce.
-    bank_gate: Vec<u64>,
-    /// Generation stamp per `bank_gate` entry: valid iff equal to the
-    /// controller's `gate_gen`, which bumps on every device mutation
-    /// (command issue, power transition); an enqueue invalidates just
-    /// its target bank. 0 is never a live generation.
-    bank_gate_gen: Vec<u64>,
-    /// Refresh-pending flag the cached entry was computed under; a
-    /// pending flip changes a bank's candidate shape without any device
-    /// mutation, so it is checked alongside the generation.
-    bank_gate_pending: Vec<bool>,
     /// Per-rank "idle counter advances during a quiet span" mask,
-    /// filled by `next_busy_event_cycle` and read by `advance_quiet`.
-    /// Valid exactly while `busy_horizon` is `Some`.
+    /// filled by `next_busy_event_cycle_wheel` and read by
+    /// `advance_quiet`. Valid exactly while `busy_horizon` is `Some`.
     counting: Vec<bool>,
-    /// This tick's due wheel entries (sorted ascending — the full
-    /// scan's bank visit order), snapshotted at the top of every full
-    /// tick while the wheel is enabled.
+    /// This tick's due wheel entries (sorted ascending — flat bank
+    /// order), snapshotted at the top of every full tick.
     ready_banks: Vec<u32>,
     /// Re-key verdicts collected during wheel-driven enumeration
     /// (which holds `&self`) and applied by `post_tick_rekey`.
@@ -127,13 +115,6 @@ struct TickScratch {
     /// One rank's batch-derived bank keys (dense, bank-indexed), the
     /// staging buffer `batch_bank_keys` fills and `rekey_range` drains.
     rank_keys: Vec<u64>,
-    /// Earliest cycle any gated-out queued request clears its timing
-    /// gates, accumulated as a by-product of candidate enumeration so
-    /// `next_busy_event_cycle` needs no second queue scan. Valid for
-    /// the tick that last ran `enumerate_candidates` (a non-acting
-    /// tick leaves queues and device state untouched, so the absolute
-    /// gate times stay exact when the horizon is taken right after).
-    cand_horizon: u64,
 }
 
 /// Starts a wall-clock phase timer — `None` (and no clock read) unless
@@ -199,61 +180,26 @@ pub struct MemoryController<S: TraceSink = NullSink, M: MetricsSink = NullMetric
     completions: Vec<Completion>,
     now: McCycle,
     scratch: TickScratch,
-    /// Device-mutation generation for the per-bank gate cache in
+    /// Device-mutation generation for the per-rank legality tables in
     /// `scratch`: bumped on every command issue and power transition,
-    /// so a cached bank gate is trusted only while the device (and the
-    /// bank's request set, which only shrinks via issue) is provably
-    /// unchanged. Starts at 1 so zeroed cache entries are never valid.
+    /// so a cached table is trusted only while the device is provably
+    /// unchanged. Starts at 1 so zeroed stamps are never valid.
     gate_gen: u64,
-    /// Opt-in stall diagnostics (set `NUAT_STALL_DEBUG=<cycles>`): dump
-    /// queue/bank state when a request has waited this long.
-    stall_debug: Option<u64>,
-    stall_reported: bool,
     /// Per-rank cycles with no queued work (drives power-down entry).
     rank_idle_cycles: Vec<u64>,
-    /// Event-driven busy skipping (set `NUAT_NO_SKIP=1` to disable):
-    /// when a tick issues nothing, the earliest cycle at which *any*
-    /// command could become legal is computed once and the dead span up
-    /// to it is bulk-advanced instead of re-enumerated cycle by cycle.
-    skip_enabled: bool,
     /// Cached event horizon: every cycle in `[now, h)` is provably
     /// quiet (no command legal, no refresh-urgency change, no
-    /// power-state decision). `None` = unknown, recompute after the
-    /// next real tick. Invalidated by `enqueue_decoded`.
+    /// power-state decision), so `tick` and `run_for` advance across it
+    /// in bulk. `None` = unknown, recompute after the next real tick.
+    /// An arrival merges its bank's exact key into it.
     busy_horizon: Option<u64>,
-    /// Incremental ready-set index (set `NUAT_NO_WHEEL=1` to disable):
-    /// one earliest-actionable-cycle key per `(rank, bank)` pair plus
-    /// one per-rank refresh marker. While enabled, candidate
-    /// enumeration visits only due entries and the event horizon is an
-    /// O(1) wheel peek — including after acting ticks, which the
-    /// legacy path always follows with a full re-enumeration.
+    /// Incremental ready-set index: one earliest-actionable-cycle key
+    /// per `(rank, bank)` pair plus one per-rank refresh marker.
+    /// Candidate enumeration visits only due entries and the event
+    /// horizon is an O(1) wheel peek, after acting ticks too. Arrivals
+    /// re-key their bank exactly, and an issue re-keys exactly the
+    /// banks whose key class it moved (see `post_tick_rekey`).
     wheel: BankWheel,
-    /// Whether the wheel drives enumeration; the legacy full scan (and
-    /// its per-bank gate cache) is kept intact behind this flag as the
-    /// `prop_wheel_equals_scan` oracle and escape hatch.
-    wheel_enabled: bool,
-    /// Discrete-event mode (set `NUAT_NO_DES=1` to disable): with the
-    /// wheel active, arrivals re-key their bank with an *exact*
-    /// earliest-actionable key (instead of conservatively pinning it
-    /// due-now) and merge it into the cached horizon rather than
-    /// discarding it, and an issue re-keys every bank of its rank
-    /// exactly (the device's gate mutations are rank-scoped, so the
-    /// sweep leaves no conservatively-early keys behind). Together
-    /// these keep the controller inside bulk-advanced quiet spans
-    /// across traffic instead of dropping to per-cycle stepping on
-    /// every arrival. Requires the wheel; purely a speed knob — the
-    /// command stream is bit-identical either way.
-    des_enabled: bool,
-    /// Batch issuing-tick kernel (set `NUAT_NO_BATCH=1` to disable):
-    /// with the wheel active, candidate enumeration and the post-issue
-    /// re-key sweep evaluate whole ranks at once — packed legality
-    /// lanes compared lane-wise against `now`, bank keys derived
-    /// branchlessly from two queue-mask loads, the horizon min fused
-    /// into the same pass — instead of per-bank branch ladders. Purely
-    /// a speed knob: the scalar per-bank path is retained verbatim as
-    /// the oracle and escape hatch, and the command stream is
-    /// bit-identical either way.
-    batch_enabled: bool,
     /// Per rank: the pending flag each refresh marker was last keyed
     /// with. While the flag is unchanged (and no `REF` issues, and the
     /// marker is not due) the marker's key needs no re-derivation.
@@ -382,18 +328,6 @@ impl<S: TraceSink, M: MetricsSink> MemoryController<S, M> {
         let banks = ranks * banks_per_rank;
         policy.bind_topology(ranks, banks_per_rank);
         let stats = ControllerStats::new(cfg.processor.cores, pbr.n_pb(), banks);
-        let stall_debug: Option<u64> = std::env::var("NUAT_STALL_DEBUG")
-            .ok()
-            .and_then(|v| v.parse().ok());
-        // Stall diagnostics want to observe every real cycle, so they
-        // force the per-tick loop too.
-        let skip_enabled = std::env::var("NUAT_NO_SKIP").map_or(true, |v| v.is_empty() || v == "0")
-            && stall_debug.is_none();
-        let wheel_enabled =
-            std::env::var("NUAT_NO_WHEEL").map_or(true, |v| v.is_empty() || v == "0");
-        let des_enabled = std::env::var("NUAT_NO_DES").map_or(true, |v| v.is_empty() || v == "0");
-        let batch_enabled =
-            std::env::var("NUAT_NO_BATCH").map_or(true, |v| v.is_empty() || v == "0");
         // Banks start parked (no requests); the per-rank refresh
         // markers start due so the first full tick derives their real
         // transition keys.
@@ -411,15 +345,9 @@ impl<S: TraceSink, M: MetricsSink> MemoryController<S, M> {
             now: McCycle::ZERO,
             scratch: TickScratch::default(),
             gate_gen: 1,
-            stall_debug,
-            stall_reported: false,
             rank_idle_cycles: vec![0; ranks],
-            skip_enabled,
             busy_horizon: None,
             wheel,
-            wheel_enabled,
-            des_enabled,
-            batch_enabled,
             marker_pending: vec![false; ranks],
             full_ticks: 0,
             cycles_skipped: 0,
@@ -629,89 +557,6 @@ impl<S: TraceSink, M: MetricsSink> MemoryController<S, M> {
         self.policy.pseudo_hit_rate()
     }
 
-    /// Enables or disables event-driven busy skipping at run time
-    /// (tests use this for A/B comparisons without racing on the
-    /// `NUAT_NO_SKIP` environment variable). Skipping never changes
-    /// simulated behaviour — only how many cycles are executed one by
-    /// one — so this is purely a speed/diagnostics knob.
-    pub fn set_cycle_skip(&mut self, enabled: bool) {
-        self.skip_enabled = enabled;
-        self.busy_horizon = None;
-    }
-
-    /// Enables or disables the incremental ready-set wheel at run time
-    /// (tests use this for A/B comparisons without racing on the
-    /// `NUAT_NO_WHEEL` environment variable). Like cycle skipping, the
-    /// wheel never changes simulated behaviour — only which cycles pay
-    /// for a full enumeration — so this is purely a speed/diagnostics
-    /// knob.
-    pub fn set_wheel(&mut self, enabled: bool) {
-        if self.wheel_enabled == enabled {
-            return;
-        }
-        self.wheel_enabled = enabled;
-        self.busy_horizon = None;
-        if enabled {
-            // The wheel was not maintained while disabled: every entry
-            // is conservatively due now, and the next full tick
-            // re-derives exact keys for all of them.
-            self.wheel.advance_to(self.now.raw());
-            let entries =
-                self.queues.total_banks() + self.cfg.dram.geometry.ranks_per_channel as usize;
-            for e in 0..entries as u32 {
-                self.wheel.rekey(e, self.now.raw());
-            }
-            if M::ENABLED {
-                self.metrics.add(Counter::WheelRekeys, entries as u64);
-            }
-        } else {
-            // The legacy per-bank gate cache was not refreshed while
-            // the wheel drove enumeration; force cold passes.
-            self.gate_gen += 1;
-        }
-    }
-
-    /// Enables or disables discrete-event arrival/issue re-keying at
-    /// run time (tests use this for A/B comparisons without racing on
-    /// the `NUAT_NO_DES` environment variable). Like the wheel and
-    /// cycle skipping it never changes simulated behaviour, only how
-    /// many cycles are executed as full ticks. No key fixup is needed
-    /// on toggle: DES keys are exact and non-DES keys are conservative
-    /// lower bounds, and each mode tolerates the other's keys.
-    pub fn set_des(&mut self, enabled: bool) {
-        self.des_enabled = enabled;
-        self.busy_horizon = None;
-    }
-
-    /// True while arrivals/issues maintain exact event-calendar keys
-    /// (the wheel must be active for DES to have a calendar to keep).
-    fn des_active(&self) -> bool {
-        self.des_enabled && self.wheel_enabled
-    }
-
-    /// Enables or disables the batch issuing-tick kernel at run time
-    /// (tests use this for A/B comparisons without racing on the
-    /// `NUAT_NO_BATCH` environment variable). No key fixup is needed on
-    /// toggle: both the batch and the scalar path maintain keys the
-    /// other accepts (batch keys are exact, scalar keys are exact or
-    /// conservative lower bounds). Purely a speed/diagnostics knob —
-    /// the command stream is bit-identical either way.
-    pub fn set_batch_kernel(&mut self, enabled: bool) {
-        self.batch_enabled = enabled;
-        self.busy_horizon = None;
-    }
-
-    /// True while the batch kernel drives enumeration and re-keying:
-    /// it batches the *wheel* pipeline (the legacy full scan is its own
-    /// escape hatch), and the branchless key selects need the queues'
-    /// per-rank bank bitmaps (`banks_per_rank <= 64`).
-    fn batch_active(&self) -> bool {
-        self.batch_enabled
-            && self.wheel_enabled
-            && self.queues.masks_valid()
-            && self.cfg.dram.geometry.ranks_per_channel <= 64
-    }
-
     /// Cycles advanced in bulk by busy skipping instead of full ticks
     /// (diagnostic; not part of [`ControllerStats`]).
     pub fn cycles_skipped(&self) -> u64 {
@@ -790,15 +635,8 @@ impl<S: TraceSink, M: MetricsSink> MemoryController<S, M> {
         kind: RequestKind,
         addr: nuat_types::DecodedAddr,
     ) -> RequestId {
-        // A new request changes exactly one bank's candidate shape:
-        // drop that bank's cached gate. (Pending-flag effects on *other*
-        // banks are covered by the cache's pending check, not the
-        // generation.)
         let key =
             addr.rank.index() * self.cfg.dram.geometry.banks_per_rank as usize + addr.bank.index();
-        if let Some(g) = self.scratch.bank_gate_gen.get_mut(key) {
-            *g = 0;
-        }
         if S::ENABLED {
             self.flush_quiet();
             self.sink.on_event(&TraceEvent::Enqueue {
@@ -810,21 +648,16 @@ impl<S: TraceSink, M: MetricsSink> MemoryController<S, M> {
                 row: addr.row.raw(),
             });
         }
-        let des = self.des_active();
         let r = addr.rank.index();
         let bi = addr.bank.index();
         let rank = addr.rank;
-        // Pre-push occupancy snapshots feed the DES side-effect guards
-        // below (the push itself can flip a rank's postponable-refresh
+        // Pre-push occupancy snapshots feed the side-effect guards below
+        // (the push itself can flip a rank's postponable-refresh
         // decision or a power-down countdown).
-        let was_empty = des && self.queues.is_empty();
-        let rank_was_empty = des && self.queues.rank_len(r) == 0;
-        let bank_was_empty = des && self.queues.bank_len(key) == 0;
-        let pre_hits = if des {
-            self.queues.hit_counts(key)
-        } else {
-            (0, 0)
-        };
+        let was_empty = self.queues.is_empty();
+        let rank_was_empty = self.queues.rank_len(r) == 0;
+        let bank_was_empty = self.queues.bank_len(key) == 0;
+        let pre_hits = self.queues.hit_counts(key);
         let id = self.queues.push(MemoryRequest {
             id: RequestId(0), // assigned by the queue
             core,
@@ -841,27 +674,13 @@ impl<S: TraceSink, M: MetricsSink> MemoryController<S, M> {
             self.metrics
                 .lift_max(Counter::SlabHighWater, (r_occ + w_occ) as u64);
         }
-        if !des {
-            // Tick/skip fallback: arrival is one of the two events that
-            // can make a bank actionable *earlier* than its wheel key
-            // (the other being refresh-window edges). End any cached
-            // quiet span and pull the bank due now; the next full tick
-            // re-derives its exact key.
-            self.busy_horizon = None;
-            if self.wheel_enabled {
-                self.wheel.rekey(key as u32, self.now.raw());
-                if M::ENABLED {
-                    self.metrics.add(Counter::WheelRekeys, 1);
-                }
-            }
-            return id;
-        }
-        // DES path: the arrival's only effect on wheel keys is the
-        // target bank's own (no device gate moved, and other banks'
-        // keys are conservative bounds revalidated at enumeration), so
-        // compute that bank's *exact* key and merge it into the cached
-        // horizon instead of discarding the whole quiet span. Two
-        // side-effect cases fall back to a due-now pin + full re-derive:
+        // The arrival's only effect on wheel keys is the target bank's
+        // own (no device gate moved, and other banks' keys are
+        // conservative bounds revalidated at enumeration), so compute
+        // that bank's *exact* key and merge it into the cached horizon
+        // instead of discarding the whole quiet span. Two side-effect
+        // cases pin the bank due now and let the next full tick
+        // re-derive:
         //
         // * power management: a powered-down rank needs a real tick to
         //   take the demand wake, and an arrival to a drained rank
@@ -946,7 +765,9 @@ impl<S: TraceSink, M: MetricsSink> MemoryController<S, M> {
     /// command can be legal, no refresh-urgency change, no power-state
     /// decision — the full pipeline (power management, refresh scan,
     /// candidate enumeration, policy) is skipped and only the per-cycle
-    /// bookkeeping runs; the observable state is identical either way.
+    /// bookkeeping runs; the observable state is identical either way
+    /// (the tests hold it to the per-cycle reference,
+    /// `oracle`'s `tick_reference`).
     pub fn tick(&mut self) {
         if let Some(h) = self.busy_horizon {
             if self.now.raw() < h {
@@ -954,17 +775,43 @@ impl<S: TraceSink, M: MetricsSink> MemoryController<S, M> {
                 return;
             }
         }
-        // Move the scratch buffers out for the duration of the tick so
-        // they can be filled while the controller's own fields are
-        // borrowed. `tick_inner`'s early returns all funnel back here,
-        // so the buffers (and their capacity) always come home.
         if S::ENABLED {
             // A real tick ends any coalesced quiet span, keeping the
             // event stream in near-chronological order.
             self.flush_quiet();
         }
+        // Move the scratch buffers out for the duration of the tick so
+        // they can be filled while the controller's own fields are
+        // borrowed. `tick_inner`'s early returns all funnel back here,
+        // so the buffers (and their capacity) always come home.
         let mut scratch = std::mem::take(&mut self.scratch);
-        let issued = self.tick_inner(&mut scratch);
+        // Promote entries whose key came due and snapshot this tick's
+        // ready set; the wheel emits it in ascending entry order, i.e.
+        // flat bank order (candidate order feeds the policy's
+        // tie-breaks). Taken before the pipeline's early returns so
+        // `post_tick_rekey` always sees the set.
+        self.wheel.advance_to(self.now.raw());
+        scratch.ready_banks.clear();
+        self.wheel.collect_ready_into(&mut scratch.ready_banks);
+        scratch.rekeys.clear();
+        scratch.enumerated = false;
+        let issued = self.tick_inner(&mut scratch, Self::enumerate_candidates_wheel);
+        self.observe_tick();
+        // Fold this tick's observations back into the wheel — exact
+        // keys for every entry the tick touched, conservative lower
+        // bounds for the rest — and the horizon becomes an O(1) peek,
+        // valid after acting ticks too.
+        let t0 = phase_start::<M>();
+        self.post_tick_rekey(&mut scratch, issued);
+        let t0 = phase_cut(&mut self.metrics, Counter::PhaseRekeyNanos, t0);
+        self.busy_horizon = Some(self.next_busy_event_cycle_wheel(&mut scratch));
+        phase_end(&mut self.metrics, Counter::PhaseHorizonNanos, t0);
+        self.scratch = scratch;
+    }
+
+    /// Emits what is due at the new clock after a full pipeline pass:
+    /// epoch samples (sink side) and timeline points (metrics side).
+    fn observe_tick(&mut self) {
         if S::ENABLED {
             self.sample_epochs();
         }
@@ -972,44 +819,21 @@ impl<S: TraceSink, M: MetricsSink> MemoryController<S, M> {
             self.refresh_wheel_gauges();
             self.metrics.sample(self.now.raw());
         }
-        if self.wheel_enabled {
-            // Incremental path: fold this tick's observations back into
-            // the wheel — exact keys for every entry the tick touched,
-            // conservative lower bounds for the rest — and the horizon
-            // becomes an O(1) peek. Crucially it is valid after *acting*
-            // ticks too: the legacy path pays a full no-op enumeration
-            // tick after every issue just to learn the next horizon.
-            let t0 = phase_start::<M>();
-            self.post_tick_rekey(&mut scratch, issued);
-            let t0 = phase_cut(&mut self.metrics, Counter::PhaseRekeyNanos, t0);
-            self.busy_horizon = if self.skip_enabled {
-                Some(self.next_busy_event_cycle_wheel(&mut scratch))
-            } else {
-                None
-            };
-            phase_end(&mut self.metrics, Counter::PhaseHorizonNanos, t0);
-        } else {
-            // A tick that issued nothing is the start of a dead span:
-            // pay for one horizon computation now so the span's
-            // remaining cycles cost O(1) each (or one bulk advance
-            // under `run_for`). After an issuing tick the horizon is
-            // left unknown — dense phases then never pay for horizons
-            // they would not use.
-            let t0 = phase_start::<M>();
-            self.busy_horizon = if self.skip_enabled && issued.is_none() {
-                Some(self.next_busy_event_cycle(&mut scratch))
-            } else {
-                None
-            };
-            phase_end(&mut self.metrics, Counter::PhaseHorizonNanos, t0);
-        }
-        self.scratch = scratch;
     }
 
-    /// One full pipeline pass. Returns the issued command, if any
-    /// (`Some` ⟺ `busy_cycles` advanced); the wheel's post-tick re-key
-    /// uses it to pinpoint which gates moved.
-    fn tick_inner(&mut self, scratch: &mut TickScratch) -> Option<DramCommand> {
+    /// One full pipeline pass: power management, refresh service,
+    /// candidate enumeration (the `enumerate` step, which fills
+    /// `scratch.candidates`/`candidate_slots` for the current cycle),
+    /// the policy's choice and its issue, then the refresh force-close
+    /// fallback. Returns the issued command, if any (`Some` ⟺
+    /// `busy_cycles` advanced); the wheel's post-tick re-key uses it to
+    /// pinpoint which gates moved. Production passes the wheel-driven
+    /// enumeration; the reference tick passes the flat queue scan.
+    fn tick_inner(
+        &mut self,
+        scratch: &mut TickScratch,
+        enumerate: impl FnOnce(&Self, &mut TickScratch),
+    ) -> Option<DramCommand> {
         self.policy.on_cycle();
         self.stats.total_cycles += 1;
         self.full_ticks += 1;
@@ -1020,45 +844,7 @@ impl<S: TraceSink, M: MetricsSink> MemoryController<S, M> {
             self.enq_since_tick = 0;
         }
 
-        if let Some(threshold) = self.stall_debug {
-            if !self.stall_reported {
-                if let Some(stuck) = self
-                    .queues
-                    .iter()
-                    .find(|r| r.wait_cycles(self.now) > threshold)
-                {
-                    self.stall_reported = true;
-                    eprintln!("[stall @{}] stuck: {}", self.now, stuck);
-                    eprintln!(
-                        "  mode {:?}, occupancy {:?}",
-                        self.queues.mode(),
-                        self.queues.occupancy()
-                    );
-                    for b in 0..self.cfg.dram.geometry.banks_per_rank as u32 {
-                        let bv = self.device.bank(stuck.addr.rank, Bank::new(b));
-                        eprintln!(
-                            "  bank {b}: {:?} earliest_pre {}",
-                            bv.state, bv.earliest_pre
-                        );
-                    }
-                }
-            }
-        }
-
         let ranks = self.cfg.dram.geometry.ranks_per_channel as usize;
-
-        if self.wheel_enabled {
-            // Promote entries whose key came due and snapshot this
-            // tick's ready set; the wheel emits it in ascending entry
-            // order, i.e. the full scan's flat bank order (candidate
-            // order feeds the policy's tie-breaks). Done before any
-            // early return so `post_tick_rekey` always sees the set.
-            self.wheel.advance_to(self.now.raw());
-            scratch.ready_banks.clear();
-            self.wheel.collect_ready_into(&mut scratch.ready_banks);
-            scratch.rekeys.clear();
-            scratch.enumerated = false;
-        }
 
         // Power management: wake ranks with work or a due refresh; send
         // long-idle ranks to power-down (closing parked rows first).
@@ -1094,11 +880,7 @@ impl<S: TraceSink, M: MetricsSink> MemoryController<S, M> {
                 .extend((0..ranks).map(|r| self.device.refresh_engine(Rank::new(r as u32)).lrra()));
             scratch.lrras_gen = self.stats.refreshes;
         }
-        if self.wheel_enabled {
-            self.enumerate_candidates_wheel(scratch, self.batch_active());
-        } else {
-            self.enumerate_candidates(scratch);
-        }
+        enumerate(self, scratch);
         let t0 = phase_cut(&mut self.metrics, Counter::PhaseEnumNanos, t0);
 
         // (4) Policy decision. Every policy is a pure argmin/argmax
@@ -1257,97 +1039,6 @@ impl<S: TraceSink, M: MetricsSink> MemoryController<S, M> {
         }
     }
 
-    /// Earliest cycle `h >= now` at which a full tick could do anything
-    /// a quiet cycle does not: issue a command, change a rank's refresh
-    /// urgency, or take a power-down decision. Every cycle in `[now, h)`
-    /// is provably a no-op, because every input to those decisions —
-    /// queue contents, bank states, the monotone per-bank/per-rank
-    /// timing gates, refresh urgency, CKE state — is constant across the
-    /// span. Conservative by construction: when in doubt (a queued
-    /// request to a powered-down rank, a candidate already legal but
-    /// declined by the policy) it returns `now`, degrading to the
-    /// per-tick loop rather than guessing.
-    ///
-    /// Also fills `scratch.counting`, the idle-counter mask
-    /// `advance_quiet` applies across the span.
-    fn next_busy_event_cycle(&mut self, scratch: &mut TickScratch) -> u64 {
-        let now = self.now;
-        let g = &self.cfg.dram.geometry;
-        let ranks = g.ranks_per_channel as usize;
-        let banks_per_rank = g.banks_per_rank as usize;
-        let mut h = u64::MAX;
-
-        self.compute_refresh_pending(&mut scratch.pending);
-
-        // (a) Refresh: the next urgency transition of any rank (the
-        // pending flags and the power manager's wake decisions change
-        // there), and — for already-pending ranks — the cycle the REF
-        // itself (banks idle) or a way-clearing force-close precharge
-        // becomes legal.
-        for r in 0..ranks {
-            let rank = Rank::new(r as u32);
-            if let Some(t) = self.device.refresh_engine(rank).next_transition_after(now) {
-                h = h.min(t.raw());
-            }
-            if scratch.pending[r] {
-                if self.device.all_banks_idle(rank) {
-                    h = h.min(self.device.rank_timing(rank).refresh_ready.raw());
-                } else {
-                    for b in 0..banks_per_rank {
-                        let bv = self.device.bank(rank, Bank::new(b as u32));
-                        if matches!(bv.state, BankState::Active { .. }) {
-                            h = h.min(bv.earliest_pre.raw());
-                        }
-                    }
-                }
-            }
-        }
-
-        // (b) Candidates. A non-acting tick leaves queues and device
-        // state untouched, so this cycle's enumeration pass already
-        // holds the answer: any candidate it produced is legal *now*
-        // and pins the horizon here, and `scratch.cand_horizon` is the
-        // min over the gates of every request it filtered out (the
-        // absolute gate times are unchanged since no command issued).
-        if !scratch.candidates.is_empty() {
-            return now.raw();
-        }
-        if self.cfg.controller.powerdown_after_idle > 0
-            && (0..ranks).any(|r| {
-                self.queues.rank_len(r) > 0 && self.device.is_powered_down(Rank::new(r as u32))
-            })
-        {
-            // Demand wake-up happens on a real tick.
-            return now.raw();
-        }
-        h = h.min(scratch.cand_horizon);
-
-        // (c) Power management: the tick on which an idle-counting rank
-        // reaches the power-down threshold acts (sleep or row close) and
-        // must run for real. Ranks holding at zero (queued work or a
-        // refresh outside NotDue) and already-sleeping ranks stay inert
-        // for the whole span.
-        let threshold = self.cfg.controller.powerdown_after_idle;
-        scratch.counting.clear();
-        scratch.counting.resize(ranks, false);
-        if threshold > 0 {
-            for r in 0..ranks {
-                let rank = Rank::new(r as u32);
-                use nuat_dram::refresh::RefreshUrgency;
-                scratch.counting[r] = self.queues.rank_len(r) == 0
-                    && !self.device.is_powered_down(rank)
-                    && self.device.refresh_engine(rank).urgency(now) == RefreshUrgency::NotDue;
-            }
-            for (r, &counting) in scratch.counting.iter().enumerate() {
-                if counting {
-                    h = h.min(now.raw() + (threshold - 1).saturating_sub(self.rank_idle_cycles[r]));
-                }
-            }
-        }
-
-        h
-    }
-
     /// Runs `cycles` ticks, fast-forwarding through guaranteed-idle
     /// stretches (see [`fast_forward_idle`](Self::fast_forward_idle))
     /// and bulk-advancing provably-dead busy spans in one step instead
@@ -1445,140 +1136,24 @@ impl<S: TraceSink, M: MetricsSink> MemoryController<S, M> {
         n
     }
 
-    /// Candidate enumeration, indexed: iterates the channel's banks
-    /// (≤ ranks × banks_per_rank) instead of queued requests. Per bank,
-    /// the state machine is identical to the legacy flat scan — column
-    /// candidates come from the bank's incremental open-row match list,
-    /// the precharge/activate representative is the bank's oldest
-    /// request (reads before writes, matching the flat scan's visit
-    /// order), and gated-out banks contribute the same per-class gate
-    /// values to `cand_horizon` — so the produced candidate *set*, the
-    /// horizon, and (because every policy tie-breaks by age id, see
-    /// [`SchedulerPolicy::choose`]) the chosen command are bit-identical
-    /// to the flat scan. The `#[cfg(test)]` oracle
-    /// `enumerate_candidates_linear` plus the
-    /// `indexed_enum_equals_linear_scan` proptest enforce exactly this.
-    fn enumerate_candidates(&self, scratch: &mut TickScratch) {
-        let TickScratch {
-            pending,
-            lrras,
-            candidates: out,
-            candidate_slots: out_slots,
-            bank_gate,
-            bank_gate_gen,
-            bank_gate_pending,
-            cand_horizon,
-            ..
-        } = scratch;
-        out.clear();
-        out_slots.clear();
-        // Earliest future gate among banks that produce no candidate
-        // this cycle; `next_busy_event_cycle` reads it back instead of
-        // rescanning anything. Banks that do produce a candidate need
-        // no entry: an un-issued candidate pins the horizon to `now`
-        // anyway (see `next_busy_event_cycle`).
-        let mut gate_h = u64::MAX;
-        let view = PolicyView {
-            now: self.now,
-            mode: self.queues.mode(),
-            lrras,
-            pbr: &self.pbr,
-        };
-        let banks_per_rank = self.cfg.dram.geometry.banks_per_rank as usize;
-        let ranks = self.cfg.dram.geometry.ranks_per_channel as usize;
-        let total_banks = self.queues.total_banks();
-        debug_assert_eq!(total_banks, ranks * banks_per_rank);
-        if bank_gate.len() != total_banks {
-            bank_gate.clear();
-            bank_gate.resize(total_banks, 0);
-            bank_gate_gen.clear();
-            bank_gate_gen.resize(total_banks, 0);
-            bank_gate_pending.clear();
-            bank_gate_pending.resize(total_banks, false);
-        }
-        // Column duplicates (same bank + open row + kind) carry the
-        // identical command and score no higher than the oldest one, so
-        // for order-respecting policies only the first per group is
-        // offered (the match lists are age order within a kind).
-        let dedup_cols = self.policy.prefers_oldest_equal_command();
-        let now = self.now;
-
-        for r in 0..ranks {
-            if self.queues.rank_len(r) == 0 {
-                continue;
-            }
-            let rank = Rank::new(r as u32);
-            let p = pending[r];
-            let lrra = lrras[r];
-            let rt = self.device.rank_timing(rank);
-            let lanes = self.device.bank_lanes(rank);
-            for bi in 0..banks_per_rank {
-                let key = r * banks_per_rank + bi;
-                if self.queues.bank_len(key) == 0 {
-                    continue;
-                }
-                // Timing-blocked bank, already proven: reuse its cached
-                // gate and skip the walk entirely. Exactness argument:
-                // while the generation matches, no command issued and no
-                // request joined or left the bank, so its state, match
-                // counts, and (monotone) gates are unchanged; with the
-                // pending flag also unchanged and the cached gate still
-                // in the future, a re-enumeration would walk the same
-                // requests, find them all gated by the same absolute
-                // cycle values, and emit the same minimum.
-                if bank_gate_gen[key] == self.gate_gen
-                    && bank_gate_pending[key] == p
-                    && now.raw() < bank_gate[key]
-                {
-                    gate_h = gate_h.min(bank_gate[key]);
-                    continue;
-                }
-                let bank = Bank::new(bi as u32);
-                // SoA hot path: read the bank's open row and timing gates
-                // straight from the flat lanes; no `BankView` materialised.
-                let open = lanes.open_row[bi];
-                let gates = lanes.bank_gates(bi, &rt);
-                let n_before = out.len();
-                let bank_h = self.enumerate_bank(
-                    &view, key, rank, bank, p, lrra, gates, open, dedup_cols, false, out, out_slots,
-                );
-
-                if out.len() == n_before {
-                    // No candidate: memoize the bank's gate until the
-                    // next device mutation or enqueue to this bank.
-                    bank_gate_gen[key] = self.gate_gen;
-                    bank_gate[key] = bank_h;
-                    bank_gate_pending[key] = p;
-                } else {
-                    // The bank offered work; whatever happens next tick
-                    // must be recomputed.
-                    bank_gate_gen[key] = 0;
-                }
-                gate_h = gate_h.min(bank_h);
-            }
-        }
-        *cand_horizon = gate_h;
-    }
-
-    /// The per-bank enumeration body shared verbatim by the full scan
-    /// ([`enumerate_candidates`](Self::enumerate_candidates)) and the
-    /// wheel-driven path — one implementation is what keeps the two
-    /// bit-identical. Appends `key`'s candidates (if any) to
+    /// One due bank's candidates: appends them (if any) to
     /// `out`/`out_slots` and returns the bank's gate-horizon
-    /// contribution: the earliest future cycle a re-enumeration could
-    /// find something new, a value `<= now` when the bank holds
-    /// already-offerable (or device-refused) work, or `u64::MAX` when
-    /// the bank is inert until an external event (refresh suppression,
-    /// arrival).
-    /// With `trust_gates` set (the batch-kernel path), a column or
-    /// precharge whose mirrored gate has passed skips the per-candidate
-    /// `can_issue` probe: the gate values *are* the device's own check
-    /// inputs (`earliest_read/write` joined with the rank column gates,
-    /// `earliest_pre`), the bank's FSM state is pinned by the open-row
-    /// mirror, and a powered-down rank cannot reach enumeration with
-    /// queued work (`manage_power` wakes it first), so gate-legal ⇒
-    /// device-legal. Activates always probe — the device may refuse on
-    /// row charge state, which no timing lane encodes.
+    /// contribution — the earliest future cycle a re-enumeration could
+    /// find something new, or `u64::MAX` when the bank is inert until an
+    /// external event (refresh suppression, arrival). The caller reads
+    /// it only when the bank offered nothing.
+    ///
+    /// Legality is read off the mirrored timing gates instead of being
+    /// probed per candidate: the gate values *are* the device's own
+    /// check inputs (`earliest_read/write` joined with the rank column
+    /// gates, `earliest_pre`, and the act gate folding tRP/tRC/tRFC with
+    /// the rank's tRRD/tFAW window), the bank's FSM state is pinned by
+    /// the open-row mirror, and a powered-down rank cannot reach
+    /// enumeration with queued work (`manage_power` wakes it first), so
+    /// gate-legal ⇒ device-legal. The debug builds assert exactly that
+    /// against `can_issue`; an activate refused on row charge state
+    /// (which no timing lane encodes) is a broken policy promise, and
+    /// the issue-time check reports it in every build.
     #[allow(clippy::too_many_arguments)]
     #[inline(always)]
     fn enumerate_bank(
@@ -1592,7 +1167,6 @@ impl<S: TraceSink, M: MetricsSink> MemoryController<S, M> {
         gates: BankGates,
         open: u32,
         dedup_cols: bool,
-        trust_gates: bool,
         out: &mut Vec<Candidate>,
         out_slots: &mut Vec<u32>,
     ) -> u64 {
@@ -1600,207 +1174,138 @@ impl<S: TraceSink, M: MetricsSink> MemoryController<S, M> {
         let mut bank_h = u64::MAX;
 
         if open != IDLE_ROW {
-            {
-                debug_assert_eq!(
-                    self.queues.open_row_mirror(key),
-                    Some(Row::new(open)),
-                    "queue open-row mirror out of sync with device"
-                );
-                let (hit_r, hit_w) = self.queues.hit_counts(key);
-                let hits = hit_r + hit_w;
-                if hits > 0 {
-                    // Column candidates, per kind, from the
-                    // incremental match index.
-                    for (kind, count) in [(RequestKind::Read, hit_r), (RequestKind::Write, hit_w)] {
-                        if count == 0 {
-                            continue;
-                        }
-                        let gate = match kind {
-                            RequestKind::Read => gates.read,
-                            RequestKind::Write => gates.write,
-                        };
-                        if now < gate {
-                            bank_h = bank_h.min(gate.raw());
-                            continue;
-                        }
-                        for (slot, req) in self.queues.bank_hits_slots(key, kind) {
-                            // NUAT's close-page decisions preserve
-                            // imminent hits: a row some other queued
-                            // request still needs stays open (this
-                            // request itself accounts for one entry
-                            // in the hit count). The FR-FCFS(close)
-                            // baseline stays pure.
-                            let auto = p
-                                || (self.policy.auto_precharge(view, req)
-                                    && !(self.policy.preserve_pending_hits() && hits > 1));
-                            let command = match kind {
-                                RequestKind::Read => DramCommand::Read {
-                                    rank,
-                                    bank,
-                                    col: req.addr.col,
-                                    auto_precharge: auto,
-                                },
-                                RequestKind::Write => DramCommand::Write {
-                                    rank,
-                                    bank,
-                                    col: req.addr.col,
-                                    auto_precharge: auto,
-                                },
-                            };
-                            debug_assert!(
-                                !trust_gates || self.device.can_issue(&command, now).is_ok(),
-                                "gate-legal column refused by the device: {command}"
-                            );
-                            if trust_gates || self.device.can_issue(&command, now).is_ok() {
-                                let (pb, zone) = self.pbr.pb_and_zone(lrra, req.addr.row);
-                                out.push(Candidate {
-                                    request: *req,
-                                    command,
-                                    kind: CandidateKind::Column,
-                                    pb,
-                                    zone,
-                                });
-                                out_slots.push(slot);
-                                if dedup_cols {
-                                    break;
-                                }
-                            } else {
-                                // Legal by the mirrored gates but
-                                // refused by the device: stay
-                                // conservative and keep the horizon
-                                // at `now` (a gate value `<= now`
-                                // does exactly that after the
-                                // saturating clamp).
-                                bank_h = bank_h.min(gate.raw());
-                            }
-                        }
+            debug_assert_eq!(
+                self.queues.open_row_mirror(key),
+                Some(Row::new(open)),
+                "queue open-row mirror out of sync with device"
+            );
+            let (hit_r, hit_w) = self.queues.hit_counts(key);
+            let hits = hit_r + hit_w;
+            if hits > 0 {
+                // Column candidates, per kind, from the incremental
+                // match index.
+                for (kind, count) in [(RequestKind::Read, hit_r), (RequestKind::Write, hit_w)] {
+                    if count == 0 {
+                        continue;
                     }
-                } else if now < gates.pre {
-                    // Conflict: consider precharging, but never
-                    // close a row some queued request still hits.
-                    bank_h = bank_h.min(gates.pre.raw());
-                } else {
-                    let req = *self.queues.bank_head(key).expect("bank_len > 0");
-                    let command = DramCommand::Precharge { rank, bank };
-                    debug_assert!(
-                        !trust_gates || self.device.can_issue(&command, now).is_ok(),
-                        "gate-legal precharge refused by the device: {command}"
-                    );
-                    if trust_gates || self.device.can_issue(&command, now).is_ok() {
+                    let gate = match kind {
+                        RequestKind::Read => gates.read,
+                        RequestKind::Write => gates.write,
+                    };
+                    if now < gate {
+                        bank_h = bank_h.min(gate.raw());
+                        continue;
+                    }
+                    for (slot, req) in self.queues.bank_hits_slots(key, kind) {
+                        // NUAT's close-page decisions preserve imminent
+                        // hits: a row some other queued request still
+                        // needs stays open (this request itself
+                        // accounts for one entry in the hit count). The
+                        // FR-FCFS(close) baseline stays pure.
+                        let auto = p
+                            || (self.policy.auto_precharge(view, req)
+                                && !(self.policy.preserve_pending_hits() && hits > 1));
+                        let command = match kind {
+                            RequestKind::Read => DramCommand::Read {
+                                rank,
+                                bank,
+                                col: req.addr.col,
+                                auto_precharge: auto,
+                            },
+                            RequestKind::Write => DramCommand::Write {
+                                rank,
+                                bank,
+                                col: req.addr.col,
+                                auto_precharge: auto,
+                            },
+                        };
+                        debug_assert!(
+                            self.device.can_issue(&command, now).is_ok(),
+                            "gate-legal column refused by the device: {command}"
+                        );
                         let (pb, zone) = self.pbr.pb_and_zone(lrra, req.addr.row);
                         out.push(Candidate {
-                            request: req,
+                            request: *req,
                             command,
-                            kind: CandidateKind::Precharge,
+                            kind: CandidateKind::Column,
                             pb,
                             zone,
                         });
-                        out_slots.push(NO_SLOT);
-                    } else {
-                        bank_h = bank_h.min(gates.pre.raw());
+                        out_slots.push(slot);
+                        if dedup_cols {
+                            break;
+                        }
                     }
                 }
+            } else if now < gates.pre {
+                // Conflict: consider precharging, but never close a row
+                // some queued request still hits.
+                bank_h = gates.pre.raw();
+            } else {
+                let req = *self.queues.bank_head(key).expect("bank_len > 0");
+                let command = DramCommand::Precharge { rank, bank };
+                debug_assert!(
+                    self.device.can_issue(&command, now).is_ok(),
+                    "gate-legal precharge refused by the device: {command}"
+                );
+                let (pb, zone) = self.pbr.pb_and_zone(lrra, req.addr.row);
+                out.push(Candidate {
+                    request: req,
+                    command,
+                    kind: CandidateKind::Precharge,
+                    pb,
+                    zone,
+                });
+                out_slots.push(NO_SLOT);
             }
-        } else {
-            {
-                // Activation (blocked while refresh pends; a
-                // pending bank contributes no gate either — the
-                // refresh horizon covers it).
-                if !p {
-                    if now < gates.act {
-                        bank_h = bank_h.min(gates.act.raw());
-                    } else if trust_gates {
-                        // Gate-legal elision: the act gate folds in
-                        // every `TooEarly` source of the device's
-                        // ladder (tRP/tRC/tRFC per bank, tRRD/tFAW
-                        // via the rank act window), so a refusal here
-                        // could only be a physical charge-state or
-                        // timing-consistency violation — which the
-                        // probing walk below treats as a controller
-                        // bug (its panic arm). Take the oldest
-                        // request directly; the debug oracle and the
-                        // issue-time check keep that invariant honest.
-                        if let Some((slot, req)) = self.queues.bank_requests_slots(key).next() {
-                            let timings = self.policy.act_timings(view, req);
-                            let command = DramCommand::Activate {
-                                rank,
-                                bank,
-                                row: req.addr.row,
-                                timings,
-                            };
-                            // Debug oracle, preserving the walk's
-                            // failure taxonomy: a non-timing refusal
-                            // is a broken policy promise (same loud
-                            // panic as the walk's arm below); a
-                            // too-early refusal would be a gate
-                            // soundness bug in the SoA lanes.
-                            #[cfg(debug_assertions)]
-                            if let Err(e) = self.device.can_issue(&command, now) {
-                                assert!(e.is_too_early(), "illegal ACT candidate {command}: {e}");
-                                panic!("gate-legal activate refused as too-early: {command}: {e}");
-                            }
-                            let (pb, zone) = self.pbr.pb_and_zone(lrra, req.addr.row);
-                            out.push(Candidate {
-                                request: *req,
-                                command,
-                                kind: CandidateKind::Activate,
-                                pb,
-                                zone,
-                            });
-                            out_slots.push(slot);
-                        }
-                    } else {
-                        // Walk until the device accepts one: a
-                        // charge-state refusal of the oldest row
-                        // must not silence a younger sibling the
-                        // flat scan would have offered.
-                        for (slot, req) in self.queues.bank_requests_slots(key) {
-                            let timings = self.policy.act_timings(view, req);
-                            let command = DramCommand::Activate {
-                                rank,
-                                bank,
-                                row: req.addr.row,
-                                timings,
-                            };
-                            match self.device.can_issue(&command, now) {
-                                Ok(()) => {
-                                    let (pb, zone) = self.pbr.pb_and_zone(lrra, req.addr.row);
-                                    out.push(Candidate {
-                                        request: *req,
-                                        command,
-                                        kind: CandidateKind::Activate,
-                                        pb,
-                                        zone,
-                                    });
-                                    out_slots.push(slot);
-                                    break;
-                                }
-                                Err(e) if e.is_too_early() => {
-                                    bank_h = bank_h.min(gates.act.raw());
-                                }
-                                // A non-timing rejection (physical
-                                // violation, protocol misuse) would
-                                // silently starve the request forever
-                                // — that is always a bug.
-                                Err(e) => panic!("illegal ACT candidate {command}: {e}"),
-                            }
-                        }
-                    }
+        } else if !p {
+            // Activation (blocked while refresh pends; a pending bank
+            // contributes no gate either — the refresh horizon covers
+            // it). The representative is the bank's oldest request.
+            if now < gates.act {
+                bank_h = gates.act.raw();
+            } else {
+                let (slot, req) = self
+                    .queues
+                    .bank_requests_slots(key)
+                    .next()
+                    .expect("bank_len > 0");
+                let timings = self.policy.act_timings(view, req);
+                let command = DramCommand::Activate {
+                    rank,
+                    bank,
+                    row: req.addr.row,
+                    timings,
+                };
+                // A non-timing refusal is a broken policy promise; a
+                // too-early one would be a gate soundness bug in the
+                // SoA lanes.
+                #[cfg(debug_assertions)]
+                if let Err(e) = self.device.can_issue(&command, now) {
+                    assert!(e.is_too_early(), "illegal ACT candidate {command}: {e}");
+                    panic!("gate-legal activate refused as too-early: {command}: {e}");
                 }
+                let (pb, zone) = self.pbr.pb_and_zone(lrra, req.addr.row);
+                out.push(Candidate {
+                    request: *req,
+                    command,
+                    kind: CandidateKind::Activate,
+                    pb,
+                    zone,
+                });
+                out_slots.push(slot);
             }
         }
 
         bank_h
     }
 
-    /// Wheel-driven enumeration: the same per-bank body as
-    /// [`enumerate_candidates`](Self::enumerate_candidates), but only
-    /// over `scratch.ready_banks` — the entries whose
-    /// earliest-actionable key has come due — instead of every bank in
-    /// the channel. Sound because every wheel key is a conservative
-    /// lower bound (see `crate::wheel`): a bank strictly before its key
-    /// cannot produce a candidate, so skipping it changes nothing the
-    /// full scan would have found.
+    /// Wheel-driven enumeration: visits only `scratch.ready_banks` —
+    /// the entries whose earliest-actionable key has come due — instead
+    /// of every bank in the channel. Sound because every wheel key is a
+    /// conservative lower bound (see `crate::wheel`): a bank strictly
+    /// before its key cannot produce a candidate, so skipping it changes
+    /// nothing a full scan would have found.
     ///
     /// Each visited bank's verdict is recorded into `scratch.rekeys`
     /// (applied by `post_tick_rekey`; enumeration holds `&self`):
@@ -1808,17 +1313,7 @@ impl<S: TraceSink, M: MetricsSink> MemoryController<S, M> {
     /// Candidate-producing banks record nothing — their stored key is
     /// already at-or-before the cursor, so they stay due (which keeps
     /// the horizon at `now` until something issues) without a re-key.
-    ///
-    /// `trust_gates` (the batch-kernel mode) forwards to
-    /// [`enumerate_bank`](Self::enumerate_bank): candidate legality is
-    /// read off the mirrored timing gates instead of per-candidate
-    /// device probes. The wheel itself is what batches the rest — every
-    /// key it holds was derived by the SWAR `batch_bank_keys` sweep at
-    /// the last issue, so the per-tick legality filter the batch kernel
-    /// once re-derived here is already folded into the ready set
-    /// (re-deriving it each tick measured *slower* than this walk: on
-    /// issuing ticks the keys are exact and the filter never fired).
-    fn enumerate_candidates_wheel(&self, scratch: &mut TickScratch, trust_gates: bool) {
+    fn enumerate_candidates_wheel(&self, scratch: &mut TickScratch) {
         let TickScratch {
             pending,
             lrras,
@@ -1826,7 +1321,6 @@ impl<S: TraceSink, M: MetricsSink> MemoryController<S, M> {
             candidate_slots: out_slots,
             ready_banks,
             rekeys,
-            cand_horizon,
             enumerated,
             ..
         } = scratch;
@@ -1834,7 +1328,6 @@ impl<S: TraceSink, M: MetricsSink> MemoryController<S, M> {
         out_slots.clear();
         rekeys.clear();
         *enumerated = true;
-        let mut gate_h = u64::MAX;
         let view = PolicyView {
             now: self.now,
             mode: self.queues.mode(),
@@ -1843,6 +1336,10 @@ impl<S: TraceSink, M: MetricsSink> MemoryController<S, M> {
         };
         let banks_per_rank = self.cfg.dram.geometry.banks_per_rank as usize;
         let total_banks = self.queues.total_banks();
+        // Column duplicates (same bank + open row + kind) carry the
+        // identical command and score no higher than the oldest one, so
+        // for order-respecting policies only the first per group is
+        // offered (the match lists are age order within a kind).
         let dedup_cols = self.policy.prefers_oldest_equal_command();
 
         // Ready entries arrive sorted, so same-rank banks are
@@ -1885,7 +1382,6 @@ impl<S: TraceSink, M: MetricsSink> MemoryController<S, M> {
                 lanes.bank_gates(bi, rt),
                 lanes.open_row[bi],
                 dedup_cols,
-                trust_gates,
                 out,
                 out_slots,
             );
@@ -1895,12 +1391,7 @@ impl<S: TraceSink, M: MetricsSink> MemoryController<S, M> {
                 // an external event re-keys it).
                 rekeys.push((entry, bank_h));
             }
-            // Offerable banks record nothing: the stored key is already
-            // at-or-before the cursor, so the entry stays due — and the
-            // horizon stays at `now` — until a command issues here.
-            gate_h = gate_h.min(bank_h);
         }
-        *cand_horizon = gate_h;
     }
 
     /// Recomputes one bank's earliest-actionable key from the current
@@ -1947,8 +1438,8 @@ impl<S: TraceSink, M: MetricsSink> MemoryController<S, M> {
     /// Recomputes rank `r`'s refresh-marker key: the rank's next
     /// urgency transition, joined — while its refresh is pending — with
     /// the cycle the `REF` itself (banks idle) or a way-clearing
-    /// force-close precharge becomes legal. This is exactly the legacy
-    /// horizon's per-rank refresh part, held incrementally.
+    /// force-close precharge becomes legal: the refresh part of the busy
+    /// horizon, held incrementally.
     fn rekey_rank_marker(&mut self, total_banks: usize, r: usize, pending: bool) {
         self.marker_pending[r] = pending;
         let rank = Rank::new(r as u32);
@@ -1992,36 +1483,57 @@ impl<S: TraceSink, M: MetricsSink> MemoryController<S, M> {
     }
 
     /// Folds one tick's observations back into the wheel. Runs after
-    /// *every* full tick while the wheel is enabled:
+    /// every full tick.
     ///
-    /// * the enumeration's verdict keys are applied first;
-    /// * on an acting tick, every bank that was due this tick plus the
-    ///   issued command's own bank get fresh exact keys from the
-    ///   post-issue gates (the issue moved rank-scoped gates for all of
-    ///   them), a `REF` re-keys its whole rank (tRFC moved every act
-    ///   gate and the cleared pending flag un-suppresses idle banks),
-    ///   and every rank marker is re-derived (an issue can flip a
-    ///   postponing rank's pending flag by draining the queues);
-    /// * due rank markers are always re-derived (their transition
-    ///   passed).
+    /// A non-acting tick moved no gate, so the enumeration's verdicts
+    /// are exact and are applied as-is; only a due rank marker (its
+    /// transition cycle passed) needs a fresh key.
+    ///
+    /// An acting tick applies the minimal exact re-key set. Device
+    /// timing gates are rank-scoped and an issue mutates exactly one
+    /// bank's queue state, so the verdicts stay exact for every rank the
+    /// command did not touch — they are re-applied as-is (the wheel's
+    /// due-region fast path makes each ~one store). Within the issued
+    /// rank only the banks whose key class the command actually moved go
+    /// stale: the issued bank itself, plus — for an `ACT` — the
+    /// idle-with-work siblings (the rank act window moved) or — for a
+    /// column command — the open-row hit siblings (the rank column gates
+    /// moved). A precharge is bank-local. Those banks are recomputed
+    /// from the post-issue gates with `bank_key`, mask-steered so the
+    /// loop touches no other bank.
+    ///
+    /// The SWAR `batch_bank_keys` kernel handles the full-rank
+    /// re-derivations, where every bank's key shape can change at once:
+    /// a `REF` (tRFC moved every act gate and the cleared pending flag
+    /// un-suppresses idle banks), a rank whose refresh-pending flag
+    /// flipped across the tick boundary (suppression changes key shapes
+    /// without a device mutation), and the early-return tick shapes that
+    /// skip enumeration entirely (power transitions, a due refresh),
+    /// where no verdicts cover the due entries. Each derived key is the
+    /// exact `bank_key` value (asserted in debug builds); for the
+    /// re-applied verdicts a candidate-producing bank's `now` pin and
+    /// its gate key are both at-or-before the cursor, so the ready set
+    /// is the same either way. On acting ticks `WheelRekeys` counts the
+    /// keys that actually moved, and the per-key `WheelSlack` histogram
+    /// is not fed (a verdict re-application is not a wait the wheel
+    /// observes).
+    ///
+    /// Rank markers are re-derived last, when their key can have moved.
     fn post_tick_rekey(&mut self, scratch: &mut TickScratch, issued: Option<DramCommand>) {
         let total_banks = self.queues.total_banks();
         let banks_per_rank = self.cfg.dram.geometry.banks_per_rank as usize;
         let ranks = self.cfg.dram.geometry.ranks_per_channel as usize;
+        let any_marker_ready = scratch
+            .ready_banks
+            .last()
+            .is_some_and(|&e| e as usize >= total_banks);
         let Some(cmd) = issued else {
-            // Non-acting tick: the enumeration's verdicts are exact, and
-            // no gate moved. Only a due rank marker (its transition cycle
-            // passed) needs a fresh key — and only that case needs the
-            // post-tick pending flags at all.
+            // Only the due-marker case needs the post-tick pending flags.
             self.note_rekeys(&scratch.rekeys);
             for (e, k) in scratch.rekeys.drain(..) {
                 self.wheel.rekey(e, k);
             }
-            let any_marker = scratch
-                .ready_banks
-                .last()
-                .is_some_and(|&e| e as usize >= total_banks);
-            if any_marker {
+            if any_marker_ready {
                 self.compute_refresh_pending(&mut scratch.pending);
                 for i in 0..scratch.ready_banks.len() {
                     let e = scratch.ready_banks[i] as usize;
@@ -2033,21 +1545,15 @@ impl<S: TraceSink, M: MetricsSink> MemoryController<S, M> {
             }
             return;
         };
-        // Acting tick: every ready bank is re-keyed exactly from the
-        // post-issue gates (the scalar path drops the enumeration's
-        // verdicts and recomputes; the batch path re-applies the
-        // verdicts of every rank the issue provably did not touch), and
-        // a `REF` re-keys its whole rank.
-        //
         // The pending flags are a pure function of refresh urgency —
         // fixed within the tick, the clock has not advanced — and,
         // with a postpone budget, of channel emptiness. Post-issue
         // they can differ from the enumeration-time values only when
         // the `REF` itself moved the schedule or a column drain left
         // the channel empty: recompute only then (keeping the
-        // enumeration-time flags in `pending_prev` so the batch path
-        // can prove which ranks' verdicts survived the boundary), and
-        // reuse the tick-start flags on every other acting tick.
+        // enumeration-time flags in `pending_prev` to prove which
+        // ranks' verdicts survived the boundary), and reuse the
+        // tick-start flags on every other acting tick.
         let is_ref = matches!(cmd, DramCommand::Refresh { .. });
         let pending_moved =
             is_ref || (self.cfg.controller.refresh_postpone_batches > 0 && self.queues.is_empty());
@@ -2055,182 +1561,6 @@ impl<S: TraceSink, M: MetricsSink> MemoryController<S, M> {
             std::mem::swap(&mut scratch.pending, &mut scratch.pending_prev);
             self.compute_refresh_pending(&mut scratch.pending);
         }
-        if self.batch_active() {
-            self.post_tick_rekey_batch(scratch, &cmd, total_banks, banks_per_rank, pending_moved);
-        } else {
-            scratch.rekeys.clear();
-            let ir = cmd.rank().index();
-            let rank = Rank::new(ir as u32);
-            let rt = self.device.rank_timing(rank);
-            let lanes = self.device.bank_lanes(rank);
-            if is_ref {
-                for bi in 0..banks_per_rank {
-                    let key = ir * banks_per_rank + bi;
-                    let k = self.bank_key(key, bi, scratch.pending[ir], &rt, &lanes);
-                    scratch.rekeys.push((key as u32, k));
-                }
-            } else if let Some(bank) = cmd.bank() {
-                let ibi = bank.index();
-                let key = ir * banks_per_rank + ibi;
-                let k = self.bank_key(key, ibi, scratch.pending[ir], &rt, &lanes);
-                scratch.rekeys.push((key as u32, k));
-                if self.des_active() && self.queues.masks_valid() {
-                    // Targeted sibling sweep: an issue moves rank-scoped
-                    // gates for exactly one sibling key class — an ACT
-                    // moves the rank act window (tRRD/tFAW), so
-                    // idle-with-work siblings get fresh act-gate keys; a
-                    // column command moves the rank column/turnaround
-                    // gates, so open-row siblings with queued hits get
-                    // fresh column-gate keys. A precharge is bank-local.
-                    // Everything else keeps its still-exact key, which
-                    // is what lets DES spans run to the true next event
-                    // without paying a full-rank sweep per issue.
-                    //
-                    // Both sweeps are specialized to their key class:
-                    // the queues' per-rank bitmaps pin each sibling's
-                    // `bank_key` branch (queued work / open row / hit
-                    // kinds present), so the key is rebuilt from the
-                    // hoisted rank gates plus one or two dense device
-                    // timing-lane loads — no per-bank queue-state probe
-                    // inside the loop. Each key is asserted identical to
-                    // the generic recompute in debug builds.
-                    match cmd {
-                        DramCommand::Activate { .. } if !scratch.pending[ir] => {
-                            let mut affected = self.queues.work_mask(ir)
-                                & !self.queues.open_mask(ir)
-                                & !(1u64 << ibi);
-                            let act_ok = rt.next_act_rank_ok;
-                            while affected != 0 {
-                                let bi = affected.trailing_zeros() as usize;
-                                affected &= affected - 1;
-                                let key = ir * banks_per_rank + bi;
-                                let k = lanes.earliest_act[bi].max(act_ok).raw();
-                                debug_assert_eq!(
-                                    k,
-                                    self.bank_key(key, bi, scratch.pending[ir], &rt, &lanes)
-                                );
-                                scratch.rekeys.push((key as u32, k));
-                            }
-                        }
-                        DramCommand::Read { .. } | DramCommand::Write { .. } => {
-                            let hr = self.queues.hit_read_mask(ir);
-                            let hw = self.queues.hit_write_mask(ir);
-                            let col_r = rt.earliest_col_read;
-                            let col_w = rt.earliest_col_write;
-                            let mut affected = (hr | hw) & !(1u64 << ibi);
-                            while affected != 0 {
-                                let bi = affected.trailing_zeros() as usize;
-                                affected &= affected - 1;
-                                let key = ir * banks_per_rank + bi;
-                                let mut k = u64::MAX;
-                                if hr >> bi & 1 != 0 {
-                                    k = k.min(lanes.earliest_read[bi].max(col_r).raw());
-                                }
-                                if hw >> bi & 1 != 0 {
-                                    k = k.min(lanes.earliest_write[bi].max(col_w).raw());
-                                }
-                                debug_assert_eq!(
-                                    k,
-                                    self.bank_key(key, bi, scratch.pending[ir], &rt, &lanes)
-                                );
-                                scratch.rekeys.push((key as u32, k));
-                            }
-                        }
-                        _ => {}
-                    }
-                }
-            }
-        }
-        if !self.batch_active() {
-            // Ready entries arrive sorted (markers at the tail): track
-            // the rank base additively — no division in the loop — and
-            // fetch the rank views once per rank.
-            let mut r = 0usize;
-            let mut rank_base = 0usize;
-            let mut views: Option<(RankTimingView, BankLanes<'_>)> = None;
-            for i in 0..scratch.ready_banks.len() {
-                let e = scratch.ready_banks[i] as usize;
-                if e >= total_banks {
-                    break;
-                }
-                while e >= rank_base + banks_per_rank {
-                    r += 1;
-                    rank_base += banks_per_rank;
-                    views = None;
-                }
-                if views.is_none() {
-                    let rank = Rank::new(r as u32);
-                    views = Some((self.device.rank_timing(rank), self.device.bank_lanes(rank)));
-                }
-                let (rt, lanes) = views.as_ref().unwrap();
-                let k = self.bank_key(e, e - rank_base, scratch.pending[r], rt, lanes);
-                scratch.rekeys.push((e as u32, k));
-            }
-        }
-        self.note_rekeys(&scratch.rekeys);
-        for (e, k) in scratch.rekeys.drain(..) {
-            self.wheel.rekey(e, k);
-        }
-        // Rank markers: a marker's key only moves on a `REF` (the
-        // schedule advances), a pending-flag flip (an issue drained a
-        // postponing rank), or its own coming due — while pending stays
-        // false the key is exactly the same future urgency transition,
-        // and while pending stays true the old key is a still-valid
-        // conservative bound (service gates only move later). Re-derive
-        // only in those cases instead of every acting tick.
-        let any_marker_ready = scratch
-            .ready_banks
-            .last()
-            .is_some_and(|&e| e as usize >= total_banks);
-        for r in 0..ranks {
-            let p = scratch.pending[r];
-            if is_ref || any_marker_ready || p != self.marker_pending[r] {
-                self.rekey_rank_marker(total_banks, r, p);
-            }
-        }
-    }
-
-    /// Batch-kernel post-issue sweep: the minimal exact re-key set.
-    ///
-    /// Device timing gates are rank-scoped and an issue mutates exactly
-    /// one bank's queue state, so the enumeration's verdict keys stay
-    /// exact for every rank the command did not touch — they are
-    /// re-applied as-is (the wheel's due-region fast path makes each
-    /// ~one store). Within the issued rank only the banks whose key
-    /// class the command actually moved go stale: the issued bank
-    /// itself (its queue state changed), plus — for an `ACT` — the
-    /// idle-with-work siblings (the rank act window moved) or — for a
-    /// column command — the open-row hit siblings (the rank column
-    /// gates moved). A precharge is bank-local. Those banks are
-    /// recomputed from the post-issue gates with the scalar `bank_key`
-    /// oracle, mask-steered so the loop touches no other bank.
-    ///
-    /// The SWAR `batch_bank_keys` kernel handles the full-rank
-    /// re-derivations, where every bank's key shape can change at
-    /// once: a `REF` (tRFC moved every act gate and the cleared
-    /// pending flag un-suppresses idle banks), a rank whose
-    /// refresh-pending flag flipped across the tick boundary
-    /// (suppression changes key shapes without a device mutation), and
-    /// the early-return tick shapes that skip enumeration entirely
-    /// (power transitions, a due refresh), where no verdicts cover the
-    /// due entries. Each derived key is the exact `bank_key` oracle
-    /// value (asserted in debug builds); for the re-applied verdicts a
-    /// candidate-producing bank's `now` pin and the oracle's gate key
-    /// are both at-or-before the cursor, so the ready set — and with
-    /// it the command stream — is identical either way. Only
-    /// observability differs from the scalar path: `WheelRekeys`
-    /// counts keys that actually moved, and the per-key `WheelSlack`
-    /// histogram is not fed (a verdict re-application is not a wait
-    /// the wheel observes).
-    fn post_tick_rekey_batch(
-        &mut self,
-        scratch: &mut TickScratch,
-        cmd: &DramCommand,
-        total_banks: usize,
-        banks_per_rank: usize,
-        pending_moved: bool,
-    ) {
-        let ranks = self.cfg.dram.geometry.ranks_per_channel as usize;
         let ir = cmd.rank().index();
         let mut derive: u64 = 0;
         if !scratch.enumerated {
@@ -2258,7 +1588,7 @@ impl<S: TraceSink, M: MetricsSink> MemoryController<S, M> {
                 }
             }
         }
-        if matches!(cmd, DramCommand::Refresh { .. }) {
+        if is_ref {
             derive |= 1 << ir;
         }
         // Banks of the issued rank whose stored keys the issue moved,
@@ -2266,7 +1596,7 @@ impl<S: TraceSink, M: MetricsSink> MemoryController<S, M> {
         let stale: u64 = if derive >> ir & 1 != 0 {
             0
         } else {
-            match *cmd {
+            match cmd {
                 DramCommand::Activate { bank, .. } => {
                     let own = 1u64 << bank.index();
                     if scratch.pending[ir] {
@@ -2365,14 +1695,34 @@ impl<S: TraceSink, M: MetricsSink> MemoryController<S, M> {
         if M::ENABLED {
             self.metrics.add(Counter::WheelRekeys, moved);
         }
+        // Rank markers: a marker's key only moves on a `REF` (the
+        // schedule advances), a pending-flag flip (an issue drained a
+        // postponing rank), or its own coming due — while pending stays
+        // false the key is exactly the same future urgency transition,
+        // and while pending stays true the old key is a still-valid
+        // conservative bound (service gates only move later). Re-derive
+        // only in those cases instead of every acting tick.
+        for r in 0..ranks {
+            let p = scratch.pending[r];
+            if is_ref || any_marker_ready || p != self.marker_pending[r] {
+                self.rekey_rank_marker(total_banks, r, p);
+            }
+        }
     }
 
-    /// Wheel-path event horizon: an O(1) peek of the wheel's next
-    /// occupied slot merged with the power-management deadline, instead
-    /// of the legacy path's full per-rank/per-bank rescan. Valid after
-    /// acting ticks too, because `post_tick_rekey` has already folded
-    /// the issue's gate movements back into the keys. The demand-wake
-    /// and already-due pins mirror `next_busy_event_cycle` exactly.
+    /// Earliest cycle `h >= now` at which a full tick could do anything
+    /// a quiet cycle does not: issue a command, change a rank's refresh
+    /// urgency, or take a power-down decision. Every cycle in `[now, h)`
+    /// is provably a no-op, because every input to those decisions —
+    /// queue contents, bank states, the monotone per-bank/per-rank
+    /// timing gates, refresh urgency, CKE state — is constant across the
+    /// span. It is an O(1) peek of the wheel's next occupied slot (bank
+    /// gates and rank refresh markers) merged with the power-management
+    /// deadline, valid after acting ticks too, because
+    /// `post_tick_rekey` has already folded the issue's gate movements
+    /// back into the keys. Conservative by construction: a due wheel
+    /// entry (an un-issued candidate, a due refresh step) or queued work
+    /// at a powered-down rank pins it to `now`.
     ///
     /// Also fills `scratch.counting`, the idle-counter mask
     /// `advance_quiet` applies across the span.
@@ -2394,9 +1744,11 @@ impl<S: TraceSink, M: MetricsSink> MemoryController<S, M> {
         }
         let mut h = self.wheel.peek_future();
 
-        // Power management: same part as the legacy horizon — the tick
-        // on which an idle-counting rank reaches the power-down
-        // threshold must run for real.
+        // Power management: the tick on which an idle-counting rank
+        // reaches the power-down threshold acts (sleep or row close) and
+        // must run for real. Ranks holding at zero (queued work or a
+        // refresh outside NotDue) and already-sleeping ranks stay inert
+        // for the whole span.
         let threshold = self.cfg.controller.powerdown_after_idle;
         scratch.counting.clear();
         scratch.counting.resize(ranks, false);
@@ -2619,32 +1971,8 @@ impl<S: TraceSink, M: MetricsSink> MemoryController<S, M> {
         self.device.refresh_engine(rank)
     }
 
-    /// Enumeration-only entry point for the `candidate_enum` micro-bench:
-    /// refreshes the per-tick inputs (refresh-pending flags, LRRA
-    /// snapshot), bumps the gate generation so every bank is enumerated
-    /// cold (as after a command issue), and runs one candidate
-    /// enumeration pass. Returns the candidate count so the bench has a
-    /// value to sink. Not a stable API.
-    #[doc(hidden)]
-    pub fn bench_enumerate_candidates(&mut self) -> usize {
-        let mut scratch = std::mem::take(&mut self.scratch);
-        self.compute_refresh_pending(&mut scratch.pending);
-        let ranks = self.cfg.dram.geometry.ranks_per_channel as usize;
-        scratch.lrras.clear();
-        scratch
-            .lrras
-            .extend((0..ranks).map(|r| self.device.refresh_engine(Rank::new(r as u32)).lrra()));
-        self.gate_gen += 1;
-        self.enumerate_candidates(&mut scratch);
-        let n = scratch.candidates.len();
-        self.scratch = scratch;
-        n
-    }
-
-    /// Wheel-path counterpart of
-    /// [`bench_enumerate_candidates`](Self::bench_enumerate_candidates)
-    /// for the `candidate_wheel` micro-bench: re-keys the `dirty`
-    /// entries to due-now (modelling the post-issue dirtying a real
+    /// Enumeration-only entry point for the `candidate_wheel`
+    /// micro-bench: re-keys the `dirty` entries to due-now (modelling the post-issue dirtying a real
     /// tick performs), advances the wheel, and runs one wheel-driven
     /// enumeration over the resulting ready set, applying the verdict
     /// re-keys exactly as a real tick would. Returns the candidate
@@ -2664,309 +1992,13 @@ impl<S: TraceSink, M: MetricsSink> MemoryController<S, M> {
         self.wheel.advance_to(self.now.raw());
         scratch.ready_banks.clear();
         self.wheel.collect_ready_into(&mut scratch.ready_banks);
-        self.enumerate_candidates_wheel(&mut scratch, self.batch_active());
+        self.enumerate_candidates_wheel(&mut scratch);
         for (e, k) in scratch.rekeys.drain(..) {
             self.wheel.rekey(e, k);
         }
         let n = scratch.candidates.len();
         self.scratch = scratch;
         n
-    }
-
-    /// Cross-checks every batch-kernel product against its scalar
-    /// oracle at the controller's *current* state: the SWAR ready
-    /// bitmaps against per-bank gate compares, each branchlessly
-    /// selected bank key against `bank_key`, and the fused min
-    /// reduction against a scalar fold. Panics on any divergence.
-    /// Driven mid-run by `prop_batch_equals_scalar` across random
-    /// timing states; not a stable API.
-    #[doc(hidden)]
-    pub fn debug_check_batch_vs_scalar(&mut self) {
-        if !self.queues.masks_valid() {
-            return;
-        }
-        let ranks = self.cfg.dram.geometry.ranks_per_channel as usize;
-        let banks_per_rank = self.cfg.dram.geometry.banks_per_rank as usize;
-        let mut pending = std::mem::take(&mut self.scratch.pending);
-        self.compute_refresh_pending(&mut pending);
-        let now = self.now.raw();
-        let mut tbl = LegalityTable::default();
-        let mut keys = Vec::new();
-        for (r, &rank_pending) in pending.iter().enumerate().take(ranks) {
-            let rank = Rank::new(r as u32);
-            tbl.fill(&self.device, rank);
-            let rm = tbl.ready_masks(now);
-            if self.device.is_powered_down(rank) {
-                // Every lane saturates to NEVER: no class may read as
-                // legal. Keys are not compared here — a powered-down
-                // rank can hold freshly arrived work until the next
-                // tick's demand wake, a state the pipeline never
-                // derives batch keys in (`manage_power` runs first).
-                assert_eq!(
-                    (rm.act, rm.read, rm.write, rm.pre),
-                    (0, 0, 0, 0),
-                    "powered-down rank {r} reported ready classes"
-                );
-                continue;
-            }
-            let rt = self.device.rank_timing(rank);
-            assert_eq!(tbl.rank, rt, "stale rank-gate snapshot (rank {r})");
-            let lanes = self.device.bank_lanes(rank);
-            for bi in 0..banks_per_rank {
-                let gates = lanes.bank_gates(bi, &rt);
-                let open = lanes.open_row[bi] != IDLE_ROW;
-                assert_eq!(
-                    rm.act >> bi & 1 != 0,
-                    !open && now >= gates.act.raw(),
-                    "ACT ready bit diverged (rank {r}, bank {bi})"
-                );
-                assert_eq!(
-                    rm.read >> bi & 1 != 0,
-                    open && now >= gates.read.raw(),
-                    "RD ready bit diverged (rank {r}, bank {bi})"
-                );
-                assert_eq!(
-                    rm.write >> bi & 1 != 0,
-                    open && now >= gates.write.raw(),
-                    "WR ready bit diverged (rank {r}, bank {bi})"
-                );
-                assert_eq!(
-                    rm.pre >> bi & 1 != 0,
-                    open && now >= lanes.earliest_pre[bi].raw(),
-                    "PRE ready bit diverged (rank {r}, bank {bi})"
-                );
-            }
-            let m = self.queues.bank_masks(r);
-            let kmin = tbl.batch_bank_keys(
-                m.work,
-                m.open,
-                m.hit_read,
-                m.hit_write,
-                rank_pending,
-                &mut keys,
-            );
-            let mut smin = u64::MAX;
-            for (bi, &bk) in keys.iter().enumerate().take(banks_per_rank) {
-                let sk = self.bank_key(r * banks_per_rank + bi, bi, rank_pending, &rt, &lanes);
-                assert_eq!(
-                    bk, sk,
-                    "batch bank key diverged from scalar oracle (rank {r}, bank {bi})"
-                );
-                smin = smin.min(sk);
-            }
-            assert_eq!(kmin, smin, "fused min-reduction diverged (rank {r})");
-        }
-        self.scratch.pending = pending;
-    }
-
-    /// Reference enumeration: the pre-index O(occupancy) flat queue
-    /// scan, kept verbatim (modulo scratch buffers becoming locals) as
-    /// the oracle for `indexed_enum_equals_linear_scan`. Returns the
-    /// candidates in queue order plus the gate horizon.
-    #[cfg(test)]
-    fn enumerate_candidates_linear(
-        &self,
-        pending: &[bool],
-        lrras: &[Row],
-    ) -> (Vec<Candidate>, u64) {
-        let mut out = Vec::new();
-        let mut gate_h = u64::MAX;
-        let view = PolicyView {
-            now: self.now,
-            mode: self.queues.mode(),
-            lrras,
-            pbr: &self.pbr,
-        };
-        let banks_per_rank = self.cfg.dram.geometry.banks_per_rank as usize;
-        let total_banks = self.queues.total_banks();
-        let mut act_seen = vec![false; total_banks];
-        let mut pre_seen = vec![false; total_banks];
-        let dedup_cols = self.policy.prefers_oldest_equal_command();
-        let mut col_seen = vec![false; 2 * total_banks];
-
-        let mut open_row_hits = vec![0u32; total_banks];
-        for req in self.queues.iter() {
-            let key = req.addr.rank.index() * banks_per_rank + req.addr.bank.index();
-            if let BankState::Active { row, .. } =
-                self.device.bank(req.addr.rank, req.addr.bank).state
-            {
-                if row == req.addr.row {
-                    open_row_hits[key] += 1;
-                }
-            }
-        }
-
-        for req in self.queues.iter() {
-            let rank = req.addr.rank;
-            let bank = req.addr.bank;
-            let bv = self.device.bank(rank, bank);
-            let key = rank.index() * banks_per_rank + bank.index();
-            let lrra = lrras[rank.index()];
-            let pbr = &self.pbr;
-            let pb_zone = || pbr.pb_and_zone(lrra, req.addr.row);
-
-            match bv.state {
-                BankState::Active { row, .. } if row == req.addr.row => {
-                    let ck = 2 * key + (req.kind == RequestKind::Write) as usize;
-                    if dedup_cols && col_seen[ck] {
-                        continue;
-                    }
-                    let rt = self.device.rank_timing(rank);
-                    let gate = match req.kind {
-                        RequestKind::Read => bv.earliest_read.max(rt.earliest_col_read),
-                        RequestKind::Write => bv.earliest_write.max(rt.earliest_col_write),
-                    };
-                    if self.now < gate {
-                        gate_h = gate_h.min(gate.raw());
-                        continue;
-                    }
-                    let auto = pending[rank.index()]
-                        || (self.policy.auto_precharge(&view, req)
-                            && !(self.policy.preserve_pending_hits() && open_row_hits[key] > 1));
-                    let command = match req.kind {
-                        RequestKind::Read => DramCommand::Read {
-                            rank,
-                            bank,
-                            col: req.addr.col,
-                            auto_precharge: auto,
-                        },
-                        RequestKind::Write => DramCommand::Write {
-                            rank,
-                            bank,
-                            col: req.addr.col,
-                            auto_precharge: auto,
-                        },
-                    };
-                    if self.device.can_issue(&command, self.now).is_ok() {
-                        col_seen[ck] = true;
-                        let (pb, zone) = pb_zone();
-                        out.push(Candidate {
-                            request: *req,
-                            command,
-                            kind: CandidateKind::Column,
-                            pb,
-                            zone,
-                        });
-                    } else {
-                        gate_h = gate_h.min(gate.raw());
-                    }
-                }
-                BankState::Active { .. } => {
-                    if pre_seen[key] || open_row_hits[key] > 0 {
-                        continue;
-                    }
-                    if self.now < bv.earliest_pre {
-                        gate_h = gate_h.min(bv.earliest_pre.raw());
-                        continue;
-                    }
-                    let command = DramCommand::Precharge { rank, bank };
-                    if self.device.can_issue(&command, self.now).is_ok() {
-                        pre_seen[key] = true;
-                        let (pb, zone) = pb_zone();
-                        out.push(Candidate {
-                            request: *req,
-                            command,
-                            kind: CandidateKind::Precharge,
-                            pb,
-                            zone,
-                        });
-                    } else {
-                        gate_h = gate_h.min(bv.earliest_pre.raw());
-                    }
-                }
-                BankState::Idle => {
-                    if pending[rank.index()] || act_seen[key] {
-                        continue;
-                    }
-                    let rt = self.device.rank_timing(rank);
-                    let act_gate = bv.earliest_act.max(rt.next_act_rank_ok);
-                    if self.now < act_gate {
-                        gate_h = gate_h.min(act_gate.raw());
-                        continue;
-                    }
-                    let timings = self.policy.act_timings(&view, req);
-                    let command = DramCommand::Activate {
-                        rank,
-                        bank,
-                        row: req.addr.row,
-                        timings,
-                    };
-                    match self.device.can_issue(&command, self.now) {
-                        Ok(()) => {
-                            act_seen[key] = true;
-                            let (pb, zone) = pb_zone();
-                            out.push(Candidate {
-                                request: *req,
-                                command,
-                                kind: CandidateKind::Activate,
-                                pb,
-                                zone,
-                            });
-                        }
-                        Err(e) if e.is_too_early() => {
-                            gate_h = gate_h.min(act_gate.raw());
-                        }
-                        Err(e) => panic!("illegal ACT candidate {command}: {e}"),
-                    }
-                }
-            }
-        }
-        (out, gate_h)
-    }
-
-    /// Cross-checks the indexed enumeration against the linear oracle at
-    /// the controller's current state: identical candidate *set*,
-    /// identical `cand_horizon`, and an identical policy choice from
-    /// either ordering. Also exercises the per-bank gate cache by
-    /// running the indexed pass twice (cold, then warm on the
-    /// now-populated cache) and demanding bit-identical results.
-    #[cfg(test)]
-    pub(crate) fn check_enumeration_equivalence(&mut self) {
-        let mut scratch = std::mem::take(&mut self.scratch);
-        self.compute_refresh_pending(&mut scratch.pending);
-        let ranks = self.cfg.dram.geometry.ranks_per_channel as usize;
-        scratch.lrras.clear();
-        scratch
-            .lrras
-            .extend((0..ranks).map(|r| self.device.refresh_engine(Rank::new(r as u32)).lrra()));
-
-        self.gate_gen += 1; // force a cold pass
-        self.enumerate_candidates(&mut scratch);
-        let cold = scratch.candidates.clone();
-        let cold_h = scratch.cand_horizon;
-        self.enumerate_candidates(&mut scratch); // warm: hits the gate cache
-        assert_eq!(scratch.candidates, cold, "warm gate-cache pass diverged");
-        assert_eq!(scratch.cand_horizon, cold_h, "warm horizon diverged");
-
-        let (linear, linear_h) = self.enumerate_candidates_linear(&scratch.pending, &scratch.lrras);
-        let mut a = cold.clone();
-        let mut b = linear.clone();
-        // Both emit at most one candidate per (bank, row-state, kind)
-        // group and tag each with a distinct request, so sorting by the
-        // unique age id makes the set comparison order-insensitive.
-        a.sort_by_key(|c| c.request.id);
-        b.sort_by_key(|c| c.request.id);
-        assert_eq!(a, b, "indexed and linear candidate sets differ");
-        assert_eq!(cold_h, linear_h, "cand_horizon differs from linear scan");
-
-        // The policy must pick the same command from either ordering.
-        let view = PolicyView {
-            now: self.now,
-            mode: self.queues.mode(),
-            lrras: &scratch.lrras,
-            pbr: &self.pbr,
-        };
-        let ci = self.policy.choose(&view, &cold);
-        let li = self.policy.choose(&view, &linear);
-        match (ci, li) {
-            (None, None) => {}
-            (Some(i), Some(j)) => assert_eq!(
-                cold[i], linear[j],
-                "policy chose different commands from indexed vs linear orderings"
-            ),
-            (i, j) => panic!("policy choice presence differs: {i:?} vs {j:?}"),
-        }
-        self.scratch = scratch;
     }
 }
 
@@ -3357,75 +2389,6 @@ mod tests {
                 vals[si],
                 vals[oi]
             );
-        }
-    }
-
-    mod indexed_vs_linear {
-        use super::*;
-        use proptest::prelude::*;
-
-        // Drives a full random workload through the controller,
-        // cross-checking the indexed per-bank enumeration against the
-        // flat-scan oracle (same candidate set, same horizon, same
-        // policy choice, warm gate cache identical to cold) at every
-        // simulated cycle — enqueue bursts, timing-gated stretches,
-        // refresh windows and the final drain included.
-        proptest! {
-            #![proptest_config(ProptestConfig { cases: 12, ..ProptestConfig::default() })]
-
-            #[test]
-            fn indexed_enum_equals_linear_scan(
-                sched in 0usize..4,
-                two_ranks in proptest::bool::ANY,
-                ops in proptest::collection::vec(
-                    (proptest::bool::ANY, 0u32..8, 0u32..24, proptest::bool::ANY, 0u64..24),
-                    1..48,
-                ),
-            ) {
-                let kind = [
-                    SchedulerKind::Fcfs,
-                    SchedulerKind::FrFcfsOpen,
-                    SchedulerKind::FrFcfsClose,
-                    SchedulerKind::Nuat,
-                ][sched];
-                let mut cfg = SystemConfig::default();
-                if two_ranks {
-                    cfg.dram.geometry.ranks_per_channel = 2;
-                }
-                let ranks = cfg.dram.geometry.ranks_per_channel as u32;
-                let mut mc = MemoryController::new(cfg, kind);
-                for (hi_rank, bank, row, is_write, gap) in ops {
-                    let rk = if is_write {
-                        RequestKind::Write
-                    } else {
-                        RequestKind::Read
-                    };
-                    if mc.can_accept(rk) {
-                        mc.enqueue_decoded(
-                            0,
-                            rk,
-                            nuat_types::DecodedAddr {
-                                channel: nuat_types::Channel::new(0),
-                                rank: Rank::new(if hi_rank { ranks - 1 } else { 0 }),
-                                bank: Bank::new(bank),
-                                row: Row::new(row),
-                                col: nuat_types::Col::new(0),
-                            },
-                        );
-                    }
-                    for _ in 0..gap {
-                        mc.check_enumeration_equivalence();
-                        mc.tick();
-                    }
-                }
-                let mut guard = 0u32;
-                while !mc.is_idle() && guard < 50_000 {
-                    mc.check_enumeration_equivalence();
-                    mc.tick();
-                    guard += 1;
-                }
-                prop_assert!(mc.is_idle(), "workload failed to drain");
-            }
         }
     }
 }

@@ -47,6 +47,10 @@ pub mod table;
 mod wheel;
 
 pub use candidate::{Candidate, CandidateKind};
+/// The naive per-cycle reference controller the fast path is tested
+/// against (see the module docs). Test-only in purpose, always compiled.
+#[doc(hidden)]
+pub use controller::oracle;
 pub use controller::{Completion, MemoryController};
 pub use pbr::{BoundaryZone, PbrAcquisition};
 pub use phrc::PseudoHitRate;

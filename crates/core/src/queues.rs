@@ -311,8 +311,7 @@ const ROW_FILTER_BUCKETS: usize = 512;
 
 /// One rank's queue-occupancy bitmaps, snapshotted together (see
 /// [`RequestQueues::bank_masks`]). Bit `b` of each word describes bank
-/// `b`; all four words share the validity condition of
-/// [`RequestQueues::masks_valid`].
+/// `b` (a rank has at most 64 banks, see `SystemConfig::validate`).
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct BankMasks {
     /// Banks with at least one queued request.
@@ -386,11 +385,9 @@ pub struct RequestQueues {
     mode: DrainMode,
     next_id: u64,
     /// Per-rank bank bitmaps, maintained at the same sites that update
-    /// the per-bank counters they summarize (only when
-    /// `banks_per_rank <= 64`; wider ranks leave them zero and callers
-    /// fall back to per-bank probes). The controller's DES targeted
-    /// re-key sweep classifies a whole rank from these three loads
-    /// instead of touching every sibling's `BankIndex`:
+    /// the per-bank counters they summarize. The controller's targeted
+    /// re-key sweep classifies a whole rank from these loads instead of
+    /// touching every sibling's `BankIndex`:
     /// bit b of `work_mask[r]` ⟺ bank b has queued requests,
     /// `open_mask[r]` ⟺ its open-row mirror is set,
     /// `hit_read_mask[r]` / `hit_write_mask[r]` ⟺ it has open-row
@@ -407,11 +404,21 @@ pub struct RequestQueues {
 impl RequestQueues {
     /// Creates empty queues with the given capacities/watermarks, sized
     /// for `ranks × banks_per_rank` bank sub-queues.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a shape `SystemConfig::validate` rejects: a combined
+    /// capacity the u16 slot links cannot address, or more than 64
+    /// banks per rank (the width of the per-rank bank bitmaps).
     pub fn new(cfg: ControllerConfig, ranks: usize, banks_per_rank: usize) -> Self {
         let cap = cfg.read_queue_capacity + cfg.write_queue_capacity;
         assert!(
             cap < NIL16 as usize,
             "combined queue capacity {cap} exceeds the u16 slot-link space"
+        );
+        assert!(
+            banks_per_rank <= 64,
+            "{banks_per_rank} banks per rank exceed the 64-bit bank bitmaps"
         );
         assert!(
             ranks * banks_per_rank <= u16::MAX as usize,
@@ -441,12 +448,6 @@ impl RequestQueues {
         }
     }
 
-    /// True when the per-rank bank bitmaps are maintained (see the
-    /// field docs); callers on wider topologies must probe per bank.
-    pub(crate) fn masks_valid(&self) -> bool {
-        self.banks_per_rank <= 64
-    }
-
     /// Banks of rank `r` with queued requests, as a bitmap.
     pub(crate) fn work_mask(&self, r: usize) -> u64 {
         self.work_mask[r]
@@ -469,9 +470,7 @@ impl RequestQueues {
 
     /// All four of rank `r`'s bank bitmaps in one load — the two mask
     /// reads the batch legality kernel steers a whole rank's key
-    /// derivation from. Only meaningful while [`masks_valid`] holds.
-    ///
-    /// [`masks_valid`]: Self::masks_valid
+    /// derivation from.
     pub(crate) fn bank_masks(&self, r: usize) -> BankMasks {
         BankMasks {
             work: self.work_mask[r],
@@ -572,14 +571,12 @@ impl RequestQueues {
             self.meta[i as usize].flags |= FLAG_IN_HIT;
         }
         self.rank_len[rank] += 1;
-        if self.masks_valid() {
-            let bit = 1u64 << (key - rank * self.banks_per_rank);
-            self.work_mask[rank] |= bit;
-            if self.meta[i as usize].flags & FLAG_IN_HIT != 0 {
-                match kind {
-                    RequestKind::Read => self.hit_read_mask[rank] |= bit,
-                    RequestKind::Write => self.hit_write_mask[rank] |= bit,
-                }
+        let bit = 1u64 << (key - rank * self.banks_per_rank);
+        self.work_mask[rank] |= bit;
+        if self.meta[i as usize].flags & FLAG_IN_HIT != 0 {
+            match kind {
+                RequestKind::Read => self.hit_read_mask[rank] |= bit,
+                RequestKind::Write => self.hit_write_mask[rank] |= bit,
             }
         }
         match kind {
@@ -666,18 +663,16 @@ impl RequestQueues {
             }
         }
         self.rank_len[rank] -= 1;
-        if self.masks_valid() {
-            let bit = 1u64 << (key - rank * self.banks_per_rank);
-            let b = &self.banks[key];
-            if b.len == 0 {
-                self.work_mask[rank] &= !bit;
-            }
-            if b.hit_read_count == 0 {
-                self.hit_read_mask[rank] &= !bit;
-            }
-            if b.hit_write_count == 0 {
-                self.hit_write_mask[rank] &= !bit;
-            }
+        let bit = 1u64 << (key - rank * self.banks_per_rank);
+        let b = &self.banks[key];
+        if b.len == 0 {
+            self.work_mask[rank] &= !bit;
+        }
+        if b.hit_read_count == 0 {
+            self.hit_read_mask[rank] &= !bit;
+        }
+        if b.hit_write_count == 0 {
+            self.hit_write_mask[rank] &= !bit;
         }
         match kind {
             RequestKind::Read => self.read_len -= 1,
@@ -719,9 +714,7 @@ impl RequestQueues {
             "row opened over an already-open mirror"
         );
         self.banks[key].open_row = Some(row);
-        if self.masks_valid() {
-            self.open_mask[rank.index()] |= 1u64 << bank.index();
-        }
+        self.open_mask[rank.index()] |= 1u64 << bank.index();
         let row = row.raw();
         if activator != NO_SLOT && self.row_filter[Self::filter_bucket(key, row)] == 1 {
             debug_assert_eq!(
@@ -752,12 +745,10 @@ impl RequestQueues {
                 }
             }
             self.meta[activator as usize].flags |= FLAG_IN_HIT;
-            if self.masks_valid() {
-                let bit = 1u64 << bank.index();
-                match kind {
-                    RequestKind::Read => self.hit_read_mask[rank.index()] |= bit,
-                    RequestKind::Write => self.hit_write_mask[rank.index()] |= bit,
-                }
+            let bit = 1u64 << bank.index();
+            match kind {
+                RequestKind::Read => self.hit_read_mask[rank.index()] |= bit,
+                RequestKind::Write => self.hit_write_mask[rank.index()] |= bit,
             }
             return;
         }
@@ -788,14 +779,12 @@ impl RequestQueues {
             }
         }
         let b = &self.banks[key];
-        if self.masks_valid() {
-            let bit = 1u64 << bank.index();
-            if b.hit_read_count > 0 {
-                self.hit_read_mask[rank.index()] |= bit;
-            }
-            if b.hit_write_count > 0 {
-                self.hit_write_mask[rank.index()] |= bit;
-            }
+        let bit = 1u64 << bank.index();
+        if b.hit_read_count > 0 {
+            self.hit_read_mask[rank.index()] |= bit;
+        }
+        if b.hit_write_count > 0 {
+            self.hit_write_mask[rank.index()] |= bit;
         }
     }
 
@@ -816,12 +805,10 @@ impl RequestQueues {
         b.hit_writes = ListHeads::EMPTY;
         b.hit_read_count = 0;
         b.hit_write_count = 0;
-        if self.masks_valid() {
-            let bit = !(1u64 << bank.index());
-            self.open_mask[rank.index()] &= bit;
-            self.hit_read_mask[rank.index()] &= bit;
-            self.hit_write_mask[rank.index()] &= bit;
-        }
+        let bit = !(1u64 << bank.index());
+        self.open_mask[rank.index()] &= bit;
+        self.hit_read_mask[rank.index()] &= bit;
+        self.hit_write_mask[rank.index()] &= bit;
     }
 
     fn update_mode(&mut self) {
@@ -849,11 +836,23 @@ impl RequestQueues {
     }
 
     /// All queued requests (reads then writes, each in arrival order) —
-    /// the legacy flat-scan order, kept for diagnostics and test
-    /// oracles.
+    /// the flat-scan order, kept for diagnostics and the reference
+    /// controller.
     pub fn iter(&self) -> impl Iterator<Item = &MemoryRequest> {
-        self.list_iter(self.reads.head, Link::Global)
-            .chain(self.list_iter(self.writes.head, Link::Global))
+        self.iter_slots().map(|(_, req)| req)
+    }
+
+    /// [`iter`](Self::iter), yielding each request's slab slot too (the
+    /// reference controller's issue path removes by slot, like the
+    /// production one).
+    pub(crate) fn iter_slots(&self) -> impl Iterator<Item = (u32, &MemoryRequest)> {
+        let slots = |head| SlotIter {
+            links: &self.links,
+            reqs: &self.reqs,
+            cur: head,
+            link: Link::Global,
+        };
+        slots(self.reads.head).chain(slots(self.writes.head))
     }
 
     /// Number of bank sub-queues (`ranks × banks_per_rank`).

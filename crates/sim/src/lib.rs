@@ -34,4 +34,8 @@ pub use report::{latency_exec_csv, multicore_csv, pb_sensitivity_csv, render_his
 pub use runner::{
     run_mix, run_mix_instrumented, run_mix_traced, run_single, traces_for, RunConfig,
 };
+/// The naive per-cycle reference system loop the event loop is tested
+/// against (see the module docs). Test-only in purpose, always compiled.
+#[doc(hidden)]
+pub use system::oracle;
 pub use system::{SimResult, System};

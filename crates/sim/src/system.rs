@@ -9,8 +9,8 @@
 //! between their port probes (see `nuat_cpu::Core::run_ahead`), and are
 //! ticked only on the cycles the calendar files for them, in the
 //! per-cycle loop's order (CPU subcycle first, then core index), so
-//! request admission and request ids are unchanged.
-//! [`System::step`] is that per-cycle loop, kept as the reference.
+//! request admission and request ids are unchanged. The per-cycle loop
+//! itself lives on as the test reference, `oracle`'s `run_reference`.
 
 use nuat_circuit::PbGrouping;
 use nuat_core::{MemoryController, RequestKind, SchedulerKind};
@@ -19,6 +19,9 @@ use nuat_obs::{Counter, MetricsSink, NullMetrics, NullSink, TraceSink};
 use nuat_types::{CpuCycle, McCycle, PhysAddr, SystemConfig, CPU_CYCLES_PER_MC_CYCLE};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+
+#[doc(hidden)]
+pub mod oracle;
 
 /// The channel `addr` maps to. Single-channel systems (the paper's
 /// Table 3 configuration) skip the address decode on this per-probe
@@ -191,9 +194,6 @@ pub struct System<S: TraceSink = NullSink, M: MetricsSink = NullMetrics> {
     /// Reused to drain controller completions without allocating a
     /// fresh `Vec` per controller per cycle.
     completions_buf: Vec<nuat_core::Completion>,
-    /// Event calendar enabled (`NUAT_NO_DES` unset). When off, `run`
-    /// ticks every core every CPU cycle ([`System::step`]).
-    des_enabled: bool,
 }
 
 impl System {
@@ -319,31 +319,6 @@ impl<S: TraceSink, M: MetricsSink> System<S, M> {
             cfg,
             cpu_now: CpuCycle::ZERO,
             completions_buf: Vec::new(),
-            des_enabled: std::env::var("NUAT_NO_DES").map_or(true, |v| v.is_empty() || v == "0"),
-        }
-    }
-
-    /// Switches [`run`](Self::run) between the event calendar (the
-    /// default) and the per-cycle [`step`](Self::step) loop, and every
-    /// channel controller between its event-driven and per-cycle modes
-    /// (`MemoryController::set_des`), overriding the `NUAT_NO_DES`
-    /// environment default. A/B correctness tests compare the two paths
-    /// in one process with it.
-    pub fn set_des(&mut self, enabled: bool) {
-        self.des_enabled = enabled;
-        for mc in &mut self.mcs {
-            mc.set_des(enabled);
-        }
-    }
-
-    /// Toggles the batch issuing-tick kernel on every channel
-    /// controller ([`MemoryController::set_batch_kernel`]), overriding
-    /// the `NUAT_NO_BATCH` environment default. A/B correctness tests
-    /// use this to compare the SWAR batch path and the scalar per-bank
-    /// path in one process without racing on process-global state.
-    pub fn set_batch_kernel(&mut self, enabled: bool) {
-        for mc in &mut self.mcs {
-            mc.set_batch_kernel(enabled);
         }
     }
 
@@ -357,40 +332,12 @@ impl<S: TraceSink, M: MetricsSink> System<S, M> {
         &self.mcs
     }
 
-    /// Mutable access to the channel controllers, for pre-run
-    /// configuration (e.g. [`MemoryController::set_cycle_skip`] in
-    /// A/B correctness tests that compare the event-driven and
-    /// strictly per-tick execution modes).
-    pub fn controllers_mut(&mut self) -> &mut [MemoryController<S, M>] {
-        &mut self.mcs
-    }
-
     /// True once every core has retired its trace before the system's
     /// CPU clock.
     pub fn is_done(&self) -> bool {
         self.cores
             .iter()
             .all(|c| c.is_done() && c.finished_at().is_none_or(|f| f < self.cpu_now))
-    }
-
-    /// Advances one memory-controller cycle the reference way: every
-    /// core ticks on each of the four CPU cycles, then every controller
-    /// ticks and hands its finished reads to the cores.
-    pub fn step(&mut self) {
-        for _ in 0..CPU_CYCLES_PER_MC_CYCLE {
-            for core in &mut self.cores {
-                let mut port = Port {
-                    mcs: &mut self.mcs,
-                    cfg: &self.cfg,
-                };
-                core.tick(self.cpu_now, &mut port);
-            }
-            self.cpu_now += 1;
-        }
-        for ch in 0..self.mcs.len() {
-            self.mcs[ch].tick();
-            self.deliver(ch);
-        }
     }
 
     /// Hands channel `ch`'s finished reads to their cores, leaving them
@@ -476,15 +423,7 @@ impl<S: TraceSink, M: MetricsSink> System<S, M> {
     /// The shared simulation loop: runs to completion or the cap, then
     /// drains the controllers (posted writes).
     fn run_core(&mut self, max_mc_cycles: u64, warmup_reads: u64) {
-        let mut warm = warmup_reads == 0;
-        if self.des_enabled {
-            self.run_events(max_mc_cycles, warmup_reads, &mut warm);
-        } else {
-            while !self.is_done() && self.mc_now() < max_mc_cycles {
-                self.step();
-                self.warm_up(&mut warm, warmup_reads);
-            }
-        }
+        self.run_events(max_mc_cycles, warmup_reads);
         // Post-retirement drain: no new requests arrive, so the only
         // events left are queued writes, refreshes and power-down
         // decisions. The channels stay in lockstep (idle channels keep
@@ -536,7 +475,8 @@ impl<S: TraceSink, M: MetricsSink> System<S, M> {
     /// then run ahead again), and at the end of the run. A core refused
     /// by a full queue is filed again for the first CPU cycle after a
     /// controller tick that leaves its queue room.
-    fn run_events(&mut self, max_mc_cycles: u64, warmup_reads: u64, warm: &mut bool) {
+    fn run_events(&mut self, max_mc_cycles: u64, warmup_reads: u64) {
+        let mut warm = warmup_reads == 0;
         let mut cal = Calendar::new(self.cores.len());
         for (i, core) in self.cores.iter_mut().enumerate() {
             cal.schedule(i, core);
@@ -602,7 +542,7 @@ impl<S: TraceSink, M: MetricsSink> System<S, M> {
                 !room
             });
             cal.blocked = blocked;
-            self.warm_up(warm, warmup_reads);
+            self.warm_up(&mut warm, warmup_reads);
         }
         self.cpu_now = McCycle::new(self.mc_now()).to_cpu();
         for core in &mut self.cores {

@@ -79,6 +79,11 @@ pub struct DramConfig {
     pub timings: DramTimings,
 }
 
+/// The largest combined read + write queue capacity: the controller's
+/// request slab addresses slots with `u16` links and reserves
+/// `u16::MAX` as the null link.
+const MAX_QUEUE_SLOTS: u64 = u16::MAX as u64 - 1;
+
 /// Complete system configuration (Table 3 defaults).
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct SystemConfig {
@@ -102,14 +107,33 @@ impl SystemConfig {
         }
     }
 
-    /// Validates geometry, queue watermarks and processor widths.
+    /// Validates geometry, queue watermarks and processor widths, and
+    /// the bounds of the controller's packed indices: at most 64 banks
+    /// per rank (the per-rank bank bitmaps are one `u64`), at most 64
+    /// ranks per channel (the re-key sweep's rank mask is one `u64`),
+    /// and a combined read + write queue capacity of at most 65 534
+    /// (the queue slab links are `u16`).
     ///
     /// # Errors
     ///
     /// Returns the first [`ConfigError`] found.
     pub fn validate(&self) -> Result<(), ConfigError> {
         self.dram.geometry.validate()?;
+        let g = &self.dram.geometry;
         let c = &self.controller;
+        for (field, value, max) in [
+            ("banks_per_rank", g.banks_per_rank, 64),
+            ("ranks_per_channel", g.ranks_per_channel, 64),
+            (
+                "read_queue_capacity + write_queue_capacity",
+                (c.read_queue_capacity as u64).saturating_add(c.write_queue_capacity as u64),
+                MAX_QUEUE_SLOTS,
+            ),
+        ] {
+            if value > max {
+                return Err(ConfigError::FieldTooLarge { field, value, max });
+            }
+        }
         if c.write_low_watermark >= c.write_high_watermark
             || c.write_high_watermark > c.write_queue_capacity
         {
@@ -190,6 +214,55 @@ mod tests {
         assert_eq!(
             cfg.validate(),
             Err(ConfigError::ZeroField { field: "cores" })
+        );
+    }
+
+    #[test]
+    fn validate_rejects_more_than_64_banks_per_rank() {
+        let mut cfg = SystemConfig::default();
+        cfg.dram.geometry.banks_per_rank = 64;
+        cfg.validate().unwrap();
+        cfg.dram.geometry.banks_per_rank = 128;
+        assert_eq!(
+            cfg.validate(),
+            Err(ConfigError::FieldTooLarge {
+                field: "banks_per_rank",
+                value: 128,
+                max: 64
+            })
+        );
+    }
+
+    #[test]
+    fn validate_rejects_more_than_64_ranks_per_channel() {
+        let mut cfg = SystemConfig::default();
+        cfg.dram.geometry.ranks_per_channel = 64;
+        cfg.validate().unwrap();
+        cfg.dram.geometry.ranks_per_channel = 128;
+        assert_eq!(
+            cfg.validate(),
+            Err(ConfigError::FieldTooLarge {
+                field: "ranks_per_channel",
+                value: 128,
+                max: 64
+            })
+        );
+    }
+
+    #[test]
+    fn validate_rejects_queues_beyond_the_slot_links() {
+        let mut cfg = SystemConfig::default();
+        cfg.controller.read_queue_capacity = 32_767;
+        cfg.controller.write_queue_capacity = 32_767;
+        cfg.validate().unwrap();
+        cfg.controller.write_queue_capacity = 32_768;
+        assert_eq!(
+            cfg.validate(),
+            Err(ConfigError::FieldTooLarge {
+                field: "read_queue_capacity + write_queue_capacity",
+                value: 65_535,
+                max: MAX_QUEUE_SLOTS
+            })
         );
     }
 

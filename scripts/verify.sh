@@ -17,23 +17,6 @@ cargo test --release -q
 # Benchmark smoke: every workload end-to-end and traced at 1/50 scale
 # (exact replay, digest repeatability, campaign output determinism).
 bash benchmark/smoke.sh
-# Replay the determinism goldens with the unified event calendar
-# disabled: the per-cycle stepping fallback must produce the same
-# bytes (DESIGN.md §7 "Unified event calendar").
-NUAT_NO_DES=1 cargo test -q -p nuat-sim --test determinism_guard
-# ... and once with the ready-set wheel disabled: the legacy full-bank
-# scan must produce the same bytes (DESIGN.md §7 "Incremental ready-set
-# scheduling"). Composed with NUAT_NO_DES this is the fully legacy
-# loop; the wheel-off case alone also covers the calendar's
-# wheel-gated controller side.
-NUAT_NO_WHEEL=1 cargo test -q -p nuat-sim --test determinism_guard
-NUAT_NO_DES=1 NUAT_NO_WHEEL=1 cargo test -q -p nuat-sim --test determinism_guard
-# ... and with the batch issuing-tick kernel disabled: the scalar
-# targeted sweeps and probing enumeration walk must produce the same
-# bytes, alone and composed with the wheel-off scan path (DESIGN.md §7
-# "Batch legality kernel").
-NUAT_NO_BATCH=1 cargo test -q -p nuat-sim --test determinism_guard
-NUAT_NO_BATCH=1 NUAT_NO_WHEEL=1 cargo test -q -p nuat-sim --test determinism_guard
 cargo clippy --workspace --all-targets -- -D warnings
 cargo bench --no-run
 smoke_dir=$(mktemp -d)

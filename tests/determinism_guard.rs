@@ -108,24 +108,25 @@ fn full_fingerprint(r: &SimResult) -> (u64, u64, u64, u64, u64, nuat_dram::Devic
 const GOLDEN_PD0: (u64, u64, u64) = (242_662, 38_639, 0);
 const GOLDEN_PD64: (u64, u64, u64) = (242_244, 40_306, 196_608);
 
-fn run_comm3(kind: SchedulerKind, skip: bool) -> SimResult {
+/// One comm3 run at `RunConfig::quick()`: the production event loop
+/// when `fast`, else the per-cycle reference (`System::run_reference`).
+fn run_comm3(kind: SchedulerKind, fast: bool) -> SimResult {
     let rc = RunConfig::quick();
     let cfg = SystemConfig::with_cores(1);
     let traces = traces_for(&[by_name("comm3").unwrap()], &cfg, &rc);
-    let mut sys = System::new(cfg, kind, PbGrouping::paper(5), traces);
-    if !skip {
-        for mc in sys.controllers_mut() {
-            mc.set_cycle_skip(false);
-        }
+    let sys = System::new(cfg, kind, PbGrouping::paper(5), traces);
+    if fast {
+        sys.run(rc.max_mc_cycles)
+    } else {
+        sys.run_reference(rc.max_mc_cycles, 0).0
     }
-    sys.run(rc.max_mc_cycles)
 }
 
 /// The event-driven busy-period skip must be invisible: for every
-/// scheduler, a run with skipping enabled (the default) and a run
-/// forced onto the legacy strictly-per-tick loop must produce
-/// byte-identical results — including device command counts, energy
-/// and power-down accounting, not just the headline latency numbers.
+/// scheduler, the production run and the per-cycle reference must
+/// produce byte-identical results — including device command counts,
+/// energy and power-down accounting, not just the headline latency
+/// numbers.
 #[test]
 fn busy_skip_modes_are_byte_identical_for_every_scheduler() {
     for kind in [
@@ -172,18 +173,17 @@ fn powerdown_study_golden_fingerprint() {
     // (powerdown_after_idle, mc_cycles, total_read_latency, powerdown_cycles)
     let goldens = [(0u64, GOLDEN_PD0), (64, GOLDEN_PD64)];
     for (idle, golden) in goldens {
-        let run = |skip: bool| {
+        let run = |fast: bool| {
             let rc = RunConfig::quick();
             let mut cfg = SystemConfig::with_cores(1);
             cfg.controller.powerdown_after_idle = idle;
             let traces = traces_for(&[sparse()], &cfg, &rc);
-            let mut sys = System::new(cfg, SchedulerKind::Nuat, PbGrouping::paper(5), traces);
-            if !skip {
-                for mc in sys.controllers_mut() {
-                    mc.set_cycle_skip(false);
-                }
+            let sys = System::new(cfg, SchedulerKind::Nuat, PbGrouping::paper(5), traces);
+            if fast {
+                sys.run(rc.max_mc_cycles)
+            } else {
+                sys.run_reference(rc.max_mc_cycles, 0).0
             }
-            sys.run(rc.max_mc_cycles)
         };
         let fast = run(true);
         let slow = run(false);
@@ -351,12 +351,11 @@ fn fast_forward_is_cycle_accurate() {
     for powerdown in [0u64, 64] {
         let mut fast = loaded_controller(powerdown);
         let mut slow = loaded_controller(powerdown);
-        // Force the reference controller onto the legacy per-tick loop
+        // The reference controller runs its full pipeline every cycle,
         // so this really is event-driven-vs-reference, not fast-vs-fast.
-        slow.set_cycle_skip(false);
         fast.run_for(CYCLES);
         for _ in 0..CYCLES {
-            slow.tick();
+            slow.tick_reference();
         }
         assert!(
             fast.cycles_skipped() > 0,
@@ -365,7 +364,7 @@ fn fast_forward_is_cycle_accurate() {
         assert_eq!(
             slow.cycles_skipped(),
             0,
-            "powerdown={powerdown}: disabled controller must not skip"
+            "powerdown={powerdown}: the reference controller must not skip"
         );
         assert_eq!(
             fast.now(),

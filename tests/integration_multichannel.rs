@@ -77,20 +77,12 @@ fn multichannel_aggregation_equals_per_channel_sums() {
     let traces = traces_for(&[spec], &cfg, &rc);
     let expected: Vec<_> = {
         let traces = traces.clone();
-        let mut sys = System::new(cfg, SchedulerKind::Nuat, PbGrouping::paper(5), traces);
-        // Drive to completion manually so the controllers stay
-        // accessible afterwards.
-        let mut guard = 0u64;
-        while !sys.is_done() {
-            sys.step();
-            guard += 1;
-            assert!(guard < rc.max_mc_cycles, "run did not complete");
-        }
-        while !sys.controllers().iter().all(|m| m.is_idle()) {
-            sys.controllers_mut().iter_mut().for_each(|m| m.tick());
-        }
-        sys.controllers()
-            .iter()
+        let sys = System::new(cfg, SchedulerKind::Nuat, PbGrouping::paper(5), traces);
+        // The per-cycle reference hands back its controllers, so the
+        // per-channel statistics stay accessible after the run.
+        let (reference, mcs) = sys.run_reference(rc.max_mc_cycles, 0);
+        assert!(reference.completed, "run did not complete");
+        mcs.iter()
             .map(|m| (m.stats().clone(), *m.device().stats()))
             .collect()
     };

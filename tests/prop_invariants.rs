@@ -147,18 +147,15 @@ proptest! {
 
         let mut fast = MemoryController::new(cfg, SchedulerKind::Nuat);
         let mut slow = MemoryController::new(cfg, SchedulerKind::Nuat);
-        // The reference runs the legacy per-tick loop: with skipping
-        // disabled no busy horizon is ever computed, so every cycle
-        // executes the full decision pipeline.
-        slow.set_cycle_skip(false);
 
         // Replay the trace into both controllers at identical cycles,
-        // bulk-advancing the fast one and single-stepping the slow one
-        // between arrivals.
+        // bulk-advancing the fast one and stepping the slow one through
+        // the per-cycle reference (`tick_reference`: the full decision
+        // pipeline every cycle, no busy horizon) between arrivals.
         let advance = |fast: &mut MemoryController, slow: &mut MemoryController, dt: u64| {
             fast.run_for(dt);
             for _ in 0..dt {
-                slow.tick();
+                slow.tick_reference();
             }
         };
         for rec in trace.records() {
