@@ -118,19 +118,6 @@ fn measure_saturated(kind: SchedulerKind, depth: usize, mc_cycles: u64) -> (u64,
     measure3(|| nuat_bench::saturated_run(kind, depth, mc_cycles, 0))
 }
 
-/// Warm-up plus median-of-3 around
-/// [`nuat_bench::saturated_run_channels`]: `channels` independent
-/// controllers on scoped threads, reported as aggregate simulated
-/// cycles over the slowest channel's wall time.
-fn measure_saturated_channels(
-    kind: SchedulerKind,
-    depth: usize,
-    channels: usize,
-    mc_cycles: u64,
-) -> (u64, u64, f64) {
-    measure3(|| nuat_bench::saturated_run_channels(kind, depth, channels, mc_cycles))
-}
-
 /// One untimed warm-up call, then the median wall time of three timed
 /// calls — robust to a stray descheduling without rewarding a lucky
 /// outlier.
@@ -177,24 +164,23 @@ fn measure_end_to_end(kind: SchedulerKind, mem_ops: usize) -> (u64, u64, f64) {
 
 /// Formats one `BENCH_scheduler.json` result row. Every row carries
 /// its workload ("comm3" = end-to-end trace replay, "saturated" =
-/// direct-controller queue-depth sweep, "saturated_channels" =
-/// channel-sharded scaling), its queue depth and its channel count, so
-/// downstream tooling (`scripts/perf_gate.sh`) can select rows without
-/// positional assumptions.
+/// direct-controller queue-depth sweep), its queue depth and its
+/// channel count (always 1; the key `scripts/perf_gate.sh` and the
+/// recorded history share), so downstream tooling can select rows
+/// without positional assumptions.
 #[allow(clippy::too_many_arguments)]
 fn json_row(
     scheduler: &str,
     mode: &str,
     workload: &str,
     queue_depth: usize,
-    channels: usize,
     cycles: u64,
     skipped: u64,
     secs: f64,
     rate: f64,
 ) -> String {
     format!(
-        "    {{\"scheduler\": \"{scheduler}\", \"mode\": \"{mode}\", \"workload\": \"{workload}\", \"queue_depth\": {queue_depth}, \"channels\": {channels}, \"mc_cycles\": {cycles}, \"skipped_cycles\": {skipped}, \"wall_seconds\": {secs:.6}, \"simulated_cycles_per_sec\": {rate:.0}}}"
+        "    {{\"scheduler\": \"{scheduler}\", \"mode\": \"{mode}\", \"workload\": \"{workload}\", \"queue_depth\": {queue_depth}, \"channels\": 1, \"mc_cycles\": {cycles}, \"skipped_cycles\": {skipped}, \"wall_seconds\": {secs:.6}, \"simulated_cycles_per_sec\": {rate:.0}}}"
     )
 }
 
@@ -235,7 +221,6 @@ fn emit_machine_readable() {
             "skip",
             "comm3",
             DEFAULT_DEPTH,
-            1,
             cycles,
             skipped,
             secs,
@@ -259,33 +244,6 @@ fn emit_machine_readable() {
                 "skip",
                 "saturated",
                 depth,
-                1,
-                cycles,
-                skipped,
-                secs,
-                rate,
-            ));
-        }
-    }
-    for kind in schedulers {
-        for channels in [1usize, 2, 4] {
-            let (cycles, skipped, secs) =
-                measure_saturated_channels(kind, DEFAULT_DEPTH, channels, SWEEP_CYCLES);
-            let rate = cycles as f64 / secs;
-            println!(
-                "{:<16} chans {:<4} {:>10} saturated cycles in {:.4}s = {:>12.0} cycles/sec",
-                kind.name(),
-                channels,
-                cycles,
-                secs,
-                rate
-            );
-            entries.push(json_row(
-                kind.name(),
-                "skip",
-                "saturated_channels",
-                DEFAULT_DEPTH,
-                channels,
                 cycles,
                 skipped,
                 secs,

@@ -4,7 +4,7 @@
 //!
 //! ```text
 //! cargo run --release -p nuat-bench --bin saturated -- \
-//!     [--scheduler NAME] [--depth N] [--channels N] [--cycles N] \
+//!     [--scheduler NAME] [--depth N] [--cycles N] \
 //!     [--compare DEPTH_B [--phases]]
 //! ```
 //!
@@ -25,8 +25,8 @@
 //! text) and `PATH.jsonl`, and prints the health report.
 
 use nuat_bench::{
-    saturated_compare_depths, saturated_compare_phases, saturated_run_channels,
-    saturated_run_controller, SaturatedDriver,
+    saturated_compare_depths, saturated_compare_phases, saturated_run, saturated_run_controller,
+    SaturatedDriver,
 };
 use nuat_core::SchedulerKind;
 use nuat_obs::{health_report, jsonl_lines, prometheus_text, Counter, MetricsRecorder};
@@ -103,7 +103,6 @@ fn arg<T: std::str::FromStr>(name: &str, default: T) -> T {
 fn main() {
     let scheduler = arg("--scheduler", "nuat".to_string());
     let depth: usize = arg("--depth", 64);
-    let channels: usize = arg("--channels", 1);
     let cycles: u64 = arg("--cycles", 4_000_000);
     let kind = match scheduler.as_str() {
         "fcfs" => SchedulerKind::Fcfs,
@@ -144,9 +143,9 @@ fn main() {
         );
         return;
     }
-    let (sim, skipped, wall) = saturated_run_channels(kind, depth, channels, cycles);
+    let (sim, skipped, wall) = saturated_run(kind, depth, cycles, 0);
     println!(
-        "{} depth={depth} channels={channels}: {sim} cycles ({skipped} skipped) in {wall:.4}s = {:.0} cyc/s",
+        "{} depth={depth}: {sim} cycles ({skipped} skipped) in {wall:.4}s = {:.0} cyc/s",
         kind.name(),
         sim as f64 / wall
     );

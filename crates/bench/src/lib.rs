@@ -39,7 +39,7 @@ pub fn quick_requested() -> bool {
 /// busy path. This isolates exactly the cost the queue-depth sweep is
 /// about — candidate enumeration and horizon recomputation under deep
 /// occupancy — from trace generation and CPU-model overhead. `seed_salt`
-/// decorrelates the address streams of concurrent channels. Returns
+/// selects one of many decorrelated address streams. Returns
 /// (simulated cycles, skipped cycles, wall seconds).
 pub fn saturated_run(
     kind: nuat_core::SchedulerKind,
@@ -87,7 +87,7 @@ pub struct SaturatedDriver<M: nuat_obs::MetricsSink = nuat_obs::NullMetrics> {
 impl SaturatedDriver {
     /// A saturated controller of the given scheduler and queue depth
     /// (write-drain watermarks scaled proportionally). `seed_salt`
-    /// decorrelates concurrent channels' address streams.
+    /// selects one of many decorrelated address streams.
     pub fn new(kind: nuat_core::SchedulerKind, depth: usize, seed_salt: u64) -> Self {
         Self::with_metrics(kind, depth, seed_salt, nuat_obs::NullMetrics)
     }
@@ -255,38 +255,6 @@ pub fn saturated_compare_phases(
     let (_, rec_a) = da.into_controller().into_instrumentation();
     let (_, rec_b) = db.into_controller().into_instrumentation();
     (rec_a, rec_b, wall_a, wall_b)
-}
-
-/// Channel-sharded saturated throughput: `channels` independent
-/// controllers (the intra-run sharding unit — channels share no DRAM
-/// state) each drive [`saturated_run`] on its own scoped thread with a
-/// decorrelated address stream. Returns (total simulated cycles summed
-/// over channels, total skipped cycles, wall seconds of the slowest
-/// channel). The aggregate rate `total_cycles / wall` is what the
-/// multi-channel rows of `BENCH_scheduler.json` record: on a
-/// multi-core host it scales with min(channels, cores); on a single
-/// hardware thread it degenerates to the sequential rate, measuring —
-/// not asserting — whatever sharding win the machine can deliver.
-pub fn saturated_run_channels(
-    kind: nuat_core::SchedulerKind,
-    depth: usize,
-    channels: usize,
-    mc_cycles: u64,
-) -> (u64, u64, f64) {
-    if channels <= 1 {
-        return saturated_run(kind, depth, mc_cycles, 0);
-    }
-    let t0 = std::time::Instant::now();
-    let results: Vec<(u64, u64, f64)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..channels)
-            .map(|ch| scope.spawn(move || saturated_run(kind, depth, mc_cycles, ch as u64)))
-            .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
-    });
-    let wall = t0.elapsed().as_secs_f64();
-    let cycles = results.iter().map(|r| r.0).sum();
-    let skipped = results.iter().map(|r| r.1).sum();
-    (cycles, skipped, wall)
 }
 
 #[cfg(test)]

@@ -31,8 +31,8 @@ use crate::stats::ControllerStats;
 use crate::wheel::{BankWheel, PARKED};
 use nuat_circuit::PbGrouping;
 use nuat_dram::{
-    BankGates, BankLanes, BankState, DramCommand, DramDevice, LegalityTable, RankTimingView,
-    RefreshEngine, IDLE_ROW,
+    BankGates, BankLanes, BankState, DramCommand, DramDevice, RankTimingView, RefreshEngine,
+    IDLE_ROW,
 };
 use nuat_obs::{
     Counter, EpochCadence, EpochSample, Hist, MetricsSink, NullMetrics, NullSink, TraceEvent,
@@ -58,19 +58,19 @@ pub struct Completion {
 /// (buffers reach their high-water size within a few cycles and are then
 /// only cleared and refilled).
 ///
-/// Invariants: contents are meaningless between ticks (except the
-/// per-rank legality tables, whose validity is tracked explicitly by
-/// generation) — every other user must clear/refill before reading; the
-/// buffers are moved out of the controller (`std::mem::take`) for the
-/// duration of a tick so the borrow checker sees them as disjoint from
-/// the controller's state.
+/// Invariants: contents are meaningless between ticks (except the LRRA
+/// snapshot, whose validity is tracked explicitly by `lrras_gen`) —
+/// every other user must clear/refill before reading; the buffers are
+/// moved out of the controller (`std::mem::take`) for the duration of a
+/// tick so the borrow checker sees them as disjoint from the
+/// controller's state.
 #[derive(Debug, Default)]
 struct TickScratch {
     /// Per-rank "refresh wants this rank drained" flags.
     pending: Vec<bool>,
     /// The previous tick-pipeline's `pending` flags (swapped in by the
     /// acting-tick re-key before `pending` is refreshed at the
-    /// post-tick clock): the batch sweep re-uses an untouched rank's
+    /// post-tick clock): the re-key re-uses an untouched rank's
     /// enumeration verdicts only while its flag provably held.
     pending_prev: Vec<bool>,
     /// True once this tick's wheel enumeration has run — the signal
@@ -103,18 +103,6 @@ struct TickScratch {
     /// Re-key verdicts collected during wheel-driven enumeration
     /// (which holds `&self`) and applied by `post_tick_rekey`.
     rekeys: Vec<(u32, u64)>,
-    /// Per-rank packed legality tables for the batch kernel: the four
-    /// earliest-legal-cycle lanes (plus the rank-gate snapshot) the
-    /// SWAR legality compare and batch key derivation run over.
-    legality: Vec<LegalityTable>,
-    /// Validity stamp per legality table: fresh iff equal to the
-    /// controller's `gate_gen` (tables depend only on device state, so
-    /// the device-mutation generation is exactly their invalidation
-    /// signal — a table survives any number of non-acting ticks).
-    legality_gen: Vec<u64>,
-    /// One rank's batch-derived bank keys (dense, bank-indexed), the
-    /// staging buffer `batch_bank_keys` fills and `rekey_range` drains.
-    rank_keys: Vec<u64>,
 }
 
 /// Starts a wall-clock phase timer — `None` (and no clock read) unless
@@ -180,11 +168,6 @@ pub struct MemoryController<S: TraceSink = NullSink, M: MetricsSink = NullMetric
     completions: Vec<Completion>,
     now: McCycle,
     scratch: TickScratch,
-    /// Device-mutation generation for the per-rank legality tables in
-    /// `scratch`: bumped on every command issue and power transition,
-    /// so a cached table is trusted only while the device is provably
-    /// unchanged. Starts at 1 so zeroed stamps are never valid.
-    gate_gen: u64,
     /// Per-rank cycles with no queued work (drives power-down entry).
     rank_idle_cycles: Vec<u64>,
     /// Cached event horizon: every cycle in `[now, h)` is provably
@@ -344,7 +327,6 @@ impl<S: TraceSink, M: MetricsSink> MemoryController<S, M> {
             completions: Vec::new(),
             now: McCycle::ZERO,
             scratch: TickScratch::default(),
-            gate_gen: 1,
             rank_idle_cycles: vec![0; ranks],
             busy_horizon: None,
             wheel,
@@ -971,7 +953,6 @@ impl<S: TraceSink, M: MetricsSink> MemoryController<S, M> {
                         && self.device.can_issue(&cmd, self.now).is_ok()
                     {
                         self.device.issue(cmd, self.now).expect("checked");
-                        self.gate_gen += 1;
                         self.queues.note_row_close(rank, bank);
                         self.stats.precharges += 1;
                         self.stats.busy_cycles += 1;
@@ -989,7 +970,6 @@ impl<S: TraceSink, M: MetricsSink> MemoryController<S, M> {
                 let cmd = DramCommand::Refresh { rank };
                 if self.device.can_issue(&cmd, self.now).is_ok() {
                     self.device.issue(cmd, self.now).expect("checked");
-                    self.gate_gen += 1;
                     self.stats.refreshes += 1;
                     self.stats.busy_cycles += 1;
                     if M::ENABLED {
@@ -1399,9 +1379,9 @@ impl<S: TraceSink, M: MetricsSink> MemoryController<S, M> {
     /// mirrors `enumerate_bank`'s case analysis exactly: column gates
     /// joined over the hit kinds present, the precharge gate for a
     /// conflict, the activate gate when idle, [`PARKED`] when drained
-    /// or refresh-suppressed (the post-`REF` rank sweep revives
-    /// suppressed banks). The rank-scoped views are parameters so bulk
-    /// re-key sweeps fetch them once per rank instead of once per bank.
+    /// or refresh-suppressed (the post-`REF` full-rank re-key revives
+    /// suppressed banks). The rank-scoped views are parameters so a
+    /// re-key loop fetches them once per rank instead of once per bank.
     #[inline]
     fn bank_key(
         &self,
@@ -1498,25 +1478,24 @@ impl<S: TraceSink, M: MetricsSink> MemoryController<S, M> {
     /// stale: the issued bank itself, plus — for an `ACT` — the
     /// idle-with-work siblings (the rank act window moved) or — for a
     /// column command — the open-row hit siblings (the rank column gates
-    /// moved). A precharge is bank-local. Those banks are recomputed
-    /// from the post-issue gates with `bank_key`, mask-steered so the
-    /// loop touches no other bank.
+    /// moved). A precharge is bank-local.
     ///
-    /// The SWAR `batch_bank_keys` kernel handles the full-rank
-    /// re-derivations, where every bank's key shape can change at once:
-    /// a `REF` (tRFC moved every act gate and the cleared pending flag
-    /// un-suppresses idle banks), a rank whose refresh-pending flag
-    /// flipped across the tick boundary (suppression changes key shapes
-    /// without a device mutation), and the early-return tick shapes that
-    /// skip enumeration entirely (power transitions, a due refresh),
-    /// where no verdicts cover the due entries. Each derived key is the
-    /// exact `bank_key` value (asserted in debug builds); for the
-    /// re-applied verdicts a candidate-producing bank's `now` pin and
-    /// its gate key are both at-or-before the cursor, so the ready set
-    /// is the same either way. On acting ticks `WheelRekeys` counts the
-    /// keys that actually moved, and the per-key `WheelSlack` histogram
-    /// is not fed (a verdict re-application is not a wait the wheel
-    /// observes).
+    /// A whole rank re-derives where every bank's key shape can change
+    /// at once: a `REF` (tRFC moved every act gate and the cleared
+    /// pending flag un-suppresses idle banks), a rank whose
+    /// refresh-pending flag flipped across the tick boundary
+    /// (suppression changes key shapes without a device mutation), and
+    /// the early-return tick shapes that skip enumeration entirely
+    /// (power transitions, a due refresh), where no verdicts cover the
+    /// due entries. One loop recomputes both sets from the post-issue
+    /// gates with `bank_key`, steered by a per-rank bank mask — every
+    /// bank of a re-derived rank, the stale banks of the issued one — so
+    /// it touches no other bank. For the re-applied verdicts a
+    /// candidate-producing bank's `now` pin and its gate key are both
+    /// at-or-before the cursor, so the ready set is the same either way.
+    /// On acting ticks `WheelRekeys` counts the keys that actually
+    /// moved, and the per-key `WheelSlack` histogram is not fed (a
+    /// verdict re-application is not a wait the wheel observes).
     ///
     /// Rank markers are re-derived last, when their key can have moved.
     fn post_tick_rekey(&mut self, scratch: &mut TickScratch, issued: Option<DramCommand>) {
@@ -1613,10 +1592,7 @@ impl<S: TraceSink, M: MetricsSink> MemoryController<S, M> {
                         | self.queues.hit_write_mask(ir)
                 }
                 DramCommand::Precharge { bank, .. } => 1u64 << bank.index(),
-                _ => {
-                    derive |= 1 << ir;
-                    0
-                }
+                DramCommand::Refresh { .. } => unreachable!("a REF re-derives its whole rank"),
             }
         };
         let mut moved = 0u64;
@@ -1637,60 +1613,28 @@ impl<S: TraceSink, M: MetricsSink> MemoryController<S, M> {
             moved += u64::from(self.wheel.rekey(e, k));
         }
         scratch.rekeys.clear();
-        if stale != 0 {
-            let rank = Rank::new(ir as u32);
+        // Recompute the stale keys from the post-issue gates: every bank
+        // of a re-derived rank, the issued rank's stale banks otherwise.
+        let full_rank = u64::MAX >> (64 - banks_per_rank);
+        let mut todo = derive | u64::from(stale != 0) << ir;
+        while todo != 0 {
+            let r = todo.trailing_zeros() as usize;
+            todo &= todo - 1;
+            let mut m = if derive >> r & 1 != 0 {
+                full_rank
+            } else {
+                stale
+            };
+            let rank = Rank::new(r as u32);
             let rt = self.device.rank_timing(rank);
             let lanes = self.device.bank_lanes(rank);
-            let mut m = stale;
             while m != 0 {
                 let bi = m.trailing_zeros() as usize;
                 m &= m - 1;
-                let key = ir * banks_per_rank + bi;
-                let k = self.bank_key(key, bi, scratch.pending[ir], &rt, &lanes);
+                let key = r * banks_per_rank + bi;
+                let k = self.bank_key(key, bi, scratch.pending[r], &rt, &lanes);
                 moved += u64::from(self.wheel.rekey(key as u32, k));
             }
-        }
-        if derive != 0 && scratch.legality.len() != ranks {
-            scratch.legality.resize_with(ranks, LegalityTable::default);
-            scratch.legality_gen.clear();
-            scratch.legality_gen.resize(ranks, 0);
-        }
-        while derive != 0 {
-            let r = derive.trailing_zeros() as usize;
-            derive &= derive - 1;
-            let rank = Rank::new(r as u32);
-            if scratch.legality_gen[r] != self.gate_gen {
-                scratch.legality[r].fill(&self.device, rank);
-                scratch.legality_gen[r] = self.gate_gen;
-            }
-            let m = self.queues.bank_masks(r);
-            scratch.legality[r].batch_bank_keys(
-                m.work,
-                m.open,
-                m.hit_read,
-                m.hit_write,
-                scratch.pending[r],
-                &mut scratch.rank_keys,
-            );
-            #[cfg(debug_assertions)]
-            {
-                // A powered-down rank cannot hold queued work here
-                // (`manage_power` woke any such rank at the top of this
-                // very tick), so the all-`NEVER` table and the scalar
-                // oracle agree on PARKED for every bank.
-                let rt = self.device.rank_timing(rank);
-                let lanes = self.device.bank_lanes(rank);
-                for bi in 0..banks_per_rank {
-                    debug_assert_eq!(
-                        scratch.rank_keys[bi],
-                        self.bank_key(r * banks_per_rank + bi, bi, scratch.pending[r], &rt, &lanes),
-                        "batch key diverged from scalar oracle (rank {r}, bank {bi})"
-                    );
-                }
-            }
-            moved += self
-                .wheel
-                .rekey_range((r * banks_per_rank) as u32, &scratch.rank_keys);
         }
         if M::ENABLED {
             self.metrics.add(Counter::WheelRekeys, moved);
@@ -1787,7 +1731,6 @@ impl<S: TraceSink, M: MetricsSink> MemoryController<S, M> {
                 }
                 panic!("scheduler issued illegal command {}: {e}", cand.command)
             });
-        self.gate_gen += 1;
         // Keep the queues' open-row mirror (and thus the per-bank match
         // lists) in lockstep with the device's row-buffer state.
         match cand.command {
@@ -1904,7 +1847,6 @@ impl<S: TraceSink, M: MetricsSink> MemoryController<S, M> {
             if self.device.is_powered_down(rank) {
                 if has_work || refresh_soon {
                     self.device.power_up(rank, self.now);
-                    self.gate_gen += 1;
                     self.rank_idle_cycles[r] = 0;
                     if S::ENABLED {
                         self.sink.on_event(&TraceEvent::PowerState {
@@ -1926,7 +1868,6 @@ impl<S: TraceSink, M: MetricsSink> MemoryController<S, M> {
             }
             if self.device.all_banks_idle(rank) {
                 self.device.power_down(rank, self.now);
-                self.gate_gen += 1;
                 if S::ENABLED {
                     self.sink.on_event(&TraceEvent::PowerState {
                         at: self.now.raw(),
@@ -1944,7 +1885,6 @@ impl<S: TraceSink, M: MetricsSink> MemoryController<S, M> {
                     && self.device.can_issue(&cmd, self.now).is_ok()
                 {
                     self.device.issue(cmd, self.now).expect("checked");
-                    self.gate_gen += 1;
                     self.queues.note_row_close(rank, bank);
                     self.stats.precharges += 1;
                     self.stats.busy_cycles += 1;

@@ -12,9 +12,9 @@
 //! the determinism guards and the `indexed_vs_linear` property below
 //! compare the two.
 //!
-//! [`debug_check_batch_vs_scalar`](MemoryController::debug_check_batch_vs_scalar)
-//! checks the batch legality kernel's products against the scalar gate
-//! and key derivations at a live controller state.
+//! [`debug_check_wheel_keys`](MemoryController::debug_check_wheel_keys)
+//! checks the timing wheel's lower-bound invariant at a live controller
+//! state.
 
 use super::*;
 
@@ -171,83 +171,34 @@ impl<S: TraceSink, M: MetricsSink> MemoryController<S, M> {
         }
     }
 
-    /// Cross-checks every batch-kernel product against its scalar
-    /// counterpart at the controller's *current* state: the SWAR ready
-    /// bitmaps against per-bank gate compares, each branchlessly
-    /// selected bank key against `bank_key`, and the fused min
-    /// reduction against a scalar fold. Panics on any divergence. Not a
+    /// Checks the timing wheel's soundness invariant (see
+    /// `crate::wheel`) at the controller's *current* state: no bank's
+    /// stored key is later than the earliest cycle the bank can act —
+    /// its `bank_key` derived from the current gates, queues and
+    /// refresh-pending flags, or `now` once that cycle has passed (a
+    /// bank able to act must come due at the next full tick). Keys may
+    /// be early, never late. Panics naming the first late key. Not a
     /// stable API.
     #[doc(hidden)]
-    pub fn debug_check_batch_vs_scalar(&self) {
+    pub fn debug_check_wheel_keys(&self) {
         let banks_per_rank = self.cfg.dram.geometry.banks_per_rank as usize;
+        let now = self.now.raw();
         let mut pending = Vec::new();
         self.compute_refresh_pending(&mut pending);
-        let now = self.now.raw();
-        let mut tbl = LegalityTable::default();
-        let mut keys = Vec::new();
         for (r, &rank_pending) in pending.iter().enumerate() {
             let rank = Rank::new(r as u32);
-            tbl.fill(&self.device, rank);
-            let rm = tbl.ready_masks(now);
-            if self.device.is_powered_down(rank) {
-                // Every lane saturates to NEVER: no class may read as
-                // legal. Keys are not compared here — a powered-down
-                // rank can hold freshly arrived work until the next
-                // tick's demand wake, a state the pipeline never
-                // derives batch keys in (`manage_power` runs first).
-                assert_eq!(
-                    (rm.act, rm.read, rm.write, rm.pre),
-                    (0, 0, 0, 0),
-                    "powered-down rank {r} reported ready classes"
-                );
-                continue;
-            }
             let rt = self.device.rank_timing(rank);
-            assert_eq!(tbl.rank, rt, "stale rank-gate snapshot (rank {r})");
             let lanes = self.device.bank_lanes(rank);
             for bi in 0..banks_per_rank {
-                let gates = lanes.bank_gates(bi, &rt);
-                let open = lanes.open_row[bi] != IDLE_ROW;
-                assert_eq!(
-                    rm.act >> bi & 1 != 0,
-                    !open && now >= gates.act.raw(),
-                    "ACT ready bit diverged (rank {r}, bank {bi})"
-                );
-                assert_eq!(
-                    rm.read >> bi & 1 != 0,
-                    open && now >= gates.read.raw(),
-                    "RD ready bit diverged (rank {r}, bank {bi})"
-                );
-                assert_eq!(
-                    rm.write >> bi & 1 != 0,
-                    open && now >= gates.write.raw(),
-                    "WR ready bit diverged (rank {r}, bank {bi})"
-                );
-                assert_eq!(
-                    rm.pre >> bi & 1 != 0,
-                    open && now >= lanes.earliest_pre[bi].raw(),
-                    "PRE ready bit diverged (rank {r}, bank {bi})"
+                let key = r * banks_per_rank + bi;
+                let earliest = self.bank_key(key, bi, rank_pending, &rt, &lanes).max(now);
+                let stored = self.wheel.key(key as u32);
+                assert!(
+                    stored <= earliest,
+                    "wheel key {stored} of rank {r}, bank {bi} is later than the bank's \
+                     earliest action at {earliest} (now {now})"
                 );
             }
-            let m = self.queues.bank_masks(r);
-            let kmin = tbl.batch_bank_keys(
-                m.work,
-                m.open,
-                m.hit_read,
-                m.hit_write,
-                rank_pending,
-                &mut keys,
-            );
-            let mut smin = u64::MAX;
-            for (bi, &bk) in keys.iter().enumerate().take(banks_per_rank) {
-                let sk = self.bank_key(r * banks_per_rank + bi, bi, rank_pending, &rt, &lanes);
-                assert_eq!(
-                    bk, sk,
-                    "batch bank key diverged from scalar bank_key (rank {r}, bank {bi})"
-                );
-                smin = smin.min(sk);
-            }
-            assert_eq!(kmin, smin, "fused min-reduction diverged (rank {r})");
         }
     }
 }

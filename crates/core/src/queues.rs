@@ -309,21 +309,6 @@ pub(crate) const NO_SLOT: u32 = NIL;
 /// bucket of a row is `row & (ROW_FILTER_BUCKETS - 1)`).
 const ROW_FILTER_BUCKETS: usize = 512;
 
-/// One rank's queue-occupancy bitmaps, snapshotted together (see
-/// [`RequestQueues::bank_masks`]). Bit `b` of each word describes bank
-/// `b` (a rank has at most 64 banks, see `SystemConfig::validate`).
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct BankMasks {
-    /// Banks with at least one queued request.
-    pub work: u64,
-    /// Banks whose open-row mirror is set.
-    pub open: u64,
-    /// Banks with at least one queued open-row read hit.
-    pub hit_read: u64,
-    /// Banks with at least one queued open-row write hit.
-    pub hit_write: u64,
-}
-
 /// Per-slot hot metadata, packed so every slot-scattered access costs
 /// one cache line: the row coordinate (the only payload field the
 /// `note_row_open` match rebuild needs), the bank sub-queue key
@@ -385,16 +370,14 @@ pub struct RequestQueues {
     mode: DrainMode,
     next_id: u64,
     /// Per-rank bank bitmaps, maintained at the same sites that update
-    /// the per-bank counters they summarize. The controller's targeted
-    /// re-key sweep classifies a whole rank from these loads instead of
-    /// touching every sibling's `BankIndex`:
+    /// the per-bank counters they summarize (a rank has at most 64
+    /// banks, see `SystemConfig::validate`). The controller's post-issue
+    /// re-key picks the banks an issue moved from these loads instead
+    /// of touching every sibling's `BankIndex`:
     /// bit b of `work_mask[r]` ⟺ bank b has queued requests,
     /// `open_mask[r]` ⟺ its open-row mirror is set,
     /// `hit_read_mask[r]` / `hit_write_mask[r]` ⟺ it has open-row
-    /// read / write hits queued. Hits are split by kind so the
-    /// controller's post-column re-key sweep can derive each sibling's
-    /// exact column-gate key from the masks plus the dense device
-    /// timing lanes alone — no per-bank counter load in the sweep.
+    /// read / write hits queued.
     work_mask: Vec<u64>,
     open_mask: Vec<u64>,
     hit_read_mask: Vec<u64>,
@@ -466,18 +449,6 @@ impl RequestQueues {
     /// Banks of rank `r` with queued open-row *write* hits, as a bitmap.
     pub(crate) fn hit_write_mask(&self, r: usize) -> u64 {
         self.hit_write_mask[r]
-    }
-
-    /// All four of rank `r`'s bank bitmaps in one load — the two mask
-    /// reads the batch legality kernel steers a whole rank's key
-    /// derivation from.
-    pub(crate) fn bank_masks(&self, r: usize) -> BankMasks {
-        BankMasks {
-            work: self.work_mask[r],
-            open: self.open_mask[r],
-            hit_read: self.hit_read_mask[r],
-            hit_write: self.hit_write_mask[r],
-        }
     }
 
     fn key_of(&self, req: &MemoryRequest) -> usize {

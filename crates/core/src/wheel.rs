@@ -51,8 +51,8 @@ use std::collections::BinaryHeap;
 
 /// Key sentinel: the entry has no actionable bound and stays out of the
 /// calendar entirely until an explicit re-key (empty bank sub-queue, or
-/// an idle bank suppressed by a pending refresh — revived by the re-key
-/// sweep after the `REF` issues).
+/// an idle bank suppressed by a pending refresh — revived by the
+/// full-rank re-key after the `REF` issues).
 pub(crate) const PARKED: u64 = u64::MAX;
 
 /// Calendar slots (one simulated cycle each). Power of two so the
@@ -144,22 +144,9 @@ impl BankWheel {
         moved
     }
 
-    /// Batch re-key: applies a dense key slice to the consecutive
-    /// entries starting at `base` (entry `base + i` gets `keys[i]`).
-    /// This is the post-issue sibling-sweep entry point — one rank's
-    /// worth of keys derived in a single batch pass lands here — and
-    /// it amortizes the overflow-compaction check across the whole
-    /// slice instead of paying it per entry. Unchanged keys exit in
-    /// the same-key fast path, so re-keying a full rank where only a
-    /// few banks moved costs little more than the targeted sweep did.
-    /// Returns how many keys actually moved.
-    pub(crate) fn rekey_range(&mut self, base: u32, keys: &[u64]) -> u64 {
-        let mut moved = 0;
-        for (i, &key) in keys.iter().enumerate() {
-            moved += u64::from(self.rekey_one(base + i as u32, key));
-        }
-        self.maybe_compact();
-        moved
+    /// `entry`'s stored earliest-actionable key ([`PARKED`] when parked).
+    pub(crate) fn key(&self, entry: u32) -> u64 {
+        self.keys[entry as usize]
     }
 
     /// Rebuilds the overflow heap once rotting slots outnumber live
@@ -175,9 +162,9 @@ impl BankWheel {
         }
     }
 
-    /// One entry's re-key, without the compaction check (the public
-    /// entry points bundle it so batch callers pay it once per batch).
-    /// Returns whether the key moved.
+    /// One entry's re-key, without the compaction check (which
+    /// [`rekey`](Self::rekey) runs after it). Returns whether the key
+    /// moved.
     #[inline]
     fn rekey_one(&mut self, entry: u32, key: u64) -> bool {
         let e = entry as usize;

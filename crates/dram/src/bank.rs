@@ -35,8 +35,8 @@ impl BankState {
 
     /// The open row in the packed-lane encoding: the raw row number, or
     /// [`IDLE_ROW`](crate::IDLE_ROW) when closed. This is the value the
-    /// device's `open_row` lane carries for the bank — scalar reference
-    /// paths compare against it when checking the SWAR lanes.
+    /// device's `open_row` lane carries for the bank; the `prop_legality`
+    /// test holds the lane to it.
     pub fn open_row_lane(&self) -> u32 {
         self.open_row().map_or(u32::MAX, Row::raw)
     }

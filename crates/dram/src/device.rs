@@ -101,27 +101,8 @@ pub struct BankGates {
     pub pre: McCycle,
 }
 
-impl RankTimingView {
-    /// Joins this rank's gates with one bank's to yield the per-bank
-    /// legality view ([`BankGates`]) used for bank-granular scheduling.
-    #[inline]
-    pub fn bank_gates(&self, bank: &BankView) -> BankGates {
-        BankGates {
-            act: bank.earliest_act.max(self.next_act_rank_ok),
-            read: bank.earliest_read.max(self.earliest_col_read),
-            write: bank.earliest_write.max(self.earliest_col_write),
-            pre: bank.earliest_pre,
-        }
-    }
-}
-
 /// Sentinel in the `open_row` lane: the bank has no open row.
 pub const IDLE_ROW: u32 = u32::MAX;
-
-/// Sentinel in a [`LegalityTable`] lane: the command class is illegal in
-/// the bank's current FSM state (not merely delayed by timing), so no
-/// passage of time alone can make it legal.
-pub const NEVER: u64 = u64::MAX;
 
 /// Per-bank FSM and timing state of one rank, stored as a structure of
 /// arrays: one dense lane per field, indexed by bank. Horizon folds and
@@ -218,169 +199,6 @@ impl BankLanes<'_> {
             write: self.earliest_write[b].max(rank.earliest_col_write),
             pre: self.earliest_pre[b],
         }
-    }
-}
-
-/// Precomputed branchless command-legality table for one rank: for each
-/// bank and command class, the earliest cycle the class becomes legal,
-/// with rank-scoped gates (tRRD/tFAW for ACT, the column bus for RD/WR)
-/// already folded in and [`NEVER`] for classes the bank's FSM state
-/// forbids outright. A command class is legal at `now` iff
-/// `now >= lane[bank]` — one comparison, no state branch.
-///
-/// The table is a *snapshot*: exact until the next `issue`, `power_down`
-/// or `power_up` on the device (all gate fields are monotone, so a stale
-/// table is conservative about timing but can be wrong about state).
-/// The `legality_table_matches_fsm_check` proptest holds this table to
-/// the check/apply FSM path command by command.
-#[derive(Debug, Clone, Default)]
-pub struct LegalityTable {
-    /// Earliest legal `ACT` per bank ([`NEVER`] while a row is open).
-    pub act: Vec<u64>,
-    /// Earliest legal `RD` per bank ([`NEVER`] while idle).
-    pub read: Vec<u64>,
-    /// Earliest legal `WR` per bank ([`NEVER`] while idle).
-    pub write: Vec<u64>,
-    /// Earliest legal `PRE` per bank ([`NEVER`] while idle).
-    pub pre: Vec<u64>,
-    /// Rank-scoped gate snapshot taken by the same [`fill`](Self::fill)
-    /// pass, so table consumers that also need the rank view (refresh
-    /// horizons, marker keys) read it from the snapshot instead of
-    /// re-querying the device.
-    pub rank: RankTimingView,
-}
-
-/// Per-command-class readiness bitmaps for one rank at one instant: bit
-/// `b` of a mask is set iff the class is legal on bank `b` *now* (its
-/// [`LegalityTable`] lane is at or before `now`). Produced lane-wise by
-/// [`LegalityTable::ready_masks`]; [`NEVER`]-saturated lanes can never
-/// set a bit, so FSM-illegal classes are filtered for free.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ReadyMasks {
-    /// Banks where `ACT` is legal now (idle banks past their act gate).
-    pub act: u64,
-    /// Banks where `RD` is legal now (open banks past the column gate).
-    pub read: u64,
-    /// Banks where `WR` is legal now (open banks past the column gate).
-    pub write: u64,
-    /// Banks where `PRE` is legal now (open banks past tRAS/tWR/tRTP).
-    pub pre: u64,
-}
-
-impl LegalityTable {
-    /// Fills the table from `dev`'s lanes for `rank` in one branch-free
-    /// pass over the flat arrays (the only branch is the power-down
-    /// check, hoisted out of the loop).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rank` is out of range.
-    pub fn fill(&mut self, dev: &DramDevice, rank: Rank) {
-        let lanes = dev.bank_lanes(rank);
-        let n = lanes.open_row.len();
-        self.act.resize(n, 0);
-        self.read.resize(n, 0);
-        self.write.resize(n, 0);
-        self.pre.resize(n, 0);
-        let rt = dev.rank_timing(rank);
-        self.rank = rt;
-        if dev.is_powered_down(rank) {
-            self.act[..n].fill(NEVER);
-            self.read[..n].fill(NEVER);
-            self.write[..n].fill(NEVER);
-            self.pre[..n].fill(NEVER);
-            return;
-        }
-        let rank_act = rt.next_act_rank_ok.raw();
-        let col_read = rt.earliest_col_read.raw();
-        let col_write = rt.earliest_col_write.raw();
-        for b in 0..n {
-            // 0 when idle, all-ones when a row is open: OR-ing a lane
-            // with the mask saturates it to NEVER in the illegal state.
-            let open_mask = ((lanes.open_row[b] != IDLE_ROW) as u64).wrapping_neg();
-            let idle_mask = !open_mask;
-            self.act[b] = lanes.earliest_act[b].raw().max(rank_act) | open_mask;
-            self.read[b] = lanes.earliest_read[b].raw().max(col_read) | idle_mask;
-            self.write[b] = lanes.earliest_write[b].raw().max(col_write) | idle_mask;
-            self.pre[b] = lanes.earliest_pre[b].raw() | idle_mask;
-        }
-    }
-
-    /// Compares every lane against `now` and packs the verdicts into
-    /// per-class bitmaps: bit `b` of a mask is set iff `now >=
-    /// lane[b]`. Branch-free — each loop body is a compare and a shift
-    /// the compiler auto-vectorizes over the dense lanes — so the whole
-    /// rank's command legality resolves in a handful of ops instead of
-    /// a per-bank FSM branch ladder.
-    #[inline]
-    pub fn ready_masks(&self, now: u64) -> ReadyMasks {
-        let n = self.act.len();
-        debug_assert!(n <= 64, "ready bitmaps need banks_per_rank <= 64");
-        let mut m = ReadyMasks::default();
-        for b in 0..n {
-            m.act |= ((now >= self.act[b]) as u64) << b;
-            m.read |= ((now >= self.read[b]) as u64) << b;
-            m.write |= ((now >= self.write[b]) as u64) << b;
-            m.pre |= ((now >= self.pre[b]) as u64) << b;
-        }
-        m
-    }
-
-    /// Derives every bank's earliest-actionable cycle for one rank in a
-    /// single branchless pass over the table lanes, steered by the
-    /// caller's queue-occupancy bitmaps, and returns the tree-reduced
-    /// minimum over all banks. Per bank the selected key is exactly the
-    /// scalar case analysis the controller's re-keying uses:
-    ///
-    /// * no queued work → `u64::MAX` (parked),
-    /// * open row with queued hits → min over the column gates of the
-    ///   hit kinds present,
-    /// * open row, no hits (conflict) → the precharge gate,
-    /// * idle while a refresh is pending → `u64::MAX` (suppressed),
-    /// * idle otherwise → the activate gate.
-    ///
-    /// Every branch is an all-ones/all-zeros mask select, so the loop
-    /// body is straight-line integer ops over the four dense lanes plus
-    /// the four mask words — no per-bank queue probe, no FSM branch.
-    /// `keys` is resized to the rank's bank count and fully overwritten.
-    ///
-    /// A [`NEVER`]-saturated lane is only selected in states that
-    /// cannot occur (the open/idle masks steer away from it), except on
-    /// a powered-down rank, where every lane is `NEVER` and every bank
-    /// with no queued work parks — the only state a powered-down rank
-    /// can be in once its queues are drained.
-    #[inline]
-    pub fn batch_bank_keys(
-        &self,
-        work: u64,
-        open: u64,
-        hit_read: u64,
-        hit_write: u64,
-        refresh_pending: bool,
-        keys: &mut Vec<u64>,
-    ) -> u64 {
-        let n = self.act.len();
-        debug_assert!(n <= 64, "batch keys need banks_per_rank <= 64");
-        keys.clear();
-        keys.resize(n, 0);
-        let pend_mask = (refresh_pending as u64).wrapping_neg();
-        let mut min = u64::MAX;
-        for (b, key) in keys.iter_mut().enumerate() {
-            let m_hr = ((hit_read >> b) & 1).wrapping_neg();
-            let m_hw = ((hit_write >> b) & 1).wrapping_neg();
-            // Column gates of the hit kinds present; an absent kind
-            // saturates to MAX and falls out of the min.
-            let k_col = (self.read[b] | !m_hr).min(self.write[b] | !m_hw);
-            let m_hit = m_hr | m_hw;
-            let k_open = (k_col & m_hit) | (self.pre[b] & !m_hit);
-            let k_idle = self.act[b] | pend_mask;
-            let m_open = ((open >> b) & 1).wrapping_neg();
-            let m_work = ((work >> b) & 1).wrapping_neg();
-            let k = ((k_open & m_open) | (k_idle & !m_open)) | !m_work;
-            *key = k;
-            min = min.min(k);
-        }
-        min
     }
 }
 

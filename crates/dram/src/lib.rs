@@ -48,10 +48,7 @@ pub mod refresh;
 pub use bank::{BankState, BankView};
 pub use command::DramCommand;
 pub use command_log::{CommandLog, LogEntry};
-pub use device::{
-    BankGates, BankLanes, DeviceStats, DramDevice, LegalityTable, RankTimingView, ReadyMasks,
-    IDLE_ROW, NEVER,
-};
+pub use device::{BankGates, BankLanes, DeviceStats, DramDevice, RankTimingView, IDLE_ROW};
 pub use energy::EnergyCounters;
 pub use error::IssueError;
 pub use reference::ReferenceChecker;

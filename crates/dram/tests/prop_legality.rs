@@ -1,10 +1,11 @@
-//! Oracle property test for the branchless SoA legality table: after an
-//! arbitrary command history, [`LegalityTable`] must agree with the FSM
-//! `can_issue` path for every bank × command class × probe time. This
-//! mirrors the indexed-vs-linear queue oracle in `nuat-core`: the flat
-//! table is the fast path, `can_issue` stays the single source of truth.
+//! Oracle property test for the SoA gate lanes: after an arbitrary
+//! command history, each bank's [`BankLanes::bank_gates`] and `open_row`
+//! lane must agree with the FSM `can_issue` path for every bank ×
+//! command class × probe time. The controller's wheel enumeration
+//! trusts exactly these gates without probing `can_issue` in release
+//! builds; `can_issue` stays the single source of truth.
 
-use nuat_dram::{DramCommand, DramDevice, IssueError, LegalityTable, NEVER};
+use nuat_dram::{BankLanes, DramCommand, DramDevice, IssueError, IDLE_ROW};
 use nuat_types::{Bank, Col, DramConfig, DramTimings, McCycle, Rank, Row, RowTimings};
 use proptest::prelude::*;
 
@@ -77,11 +78,11 @@ fn to_command(a: Attempt, timings: &DramTimings) -> Option<DramCommand> {
     })
 }
 
-/// One representative probe command per table class. Worst-case ACT
+/// One representative probe command per gate class. Worst-case ACT
 /// timings are used so charge physics never interferes: the physical
 /// minimum can only shrink below the fully-discharged worst case, so
 /// the probe's legality is purely FSM-state + timing — exactly what
-/// the table encodes.
+/// the gates and the open-row lane encode.
 fn probes(bank: u32, timings: &DramTimings) -> [DramCommand; 4] {
     let rank = Rank::new(0);
     let bank = Bank::new(bank);
@@ -112,16 +113,18 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
 
     /// After every step of an arbitrary command history, for every bank
-    /// and command class: `now >= lane[bank]` iff the FSM accepts the
-    /// class. Boundary probes additionally pin the lane value exactly —
-    /// legal *at* the lane, `TooEarly` one cycle before it.
+    /// and command class the open-row lane decides whether the bank's
+    /// FSM state admits the class (`ACT` idle, `RD`/`WR`/`PRE` open),
+    /// and where it does, `now >= gate` iff the FSM accepts the class.
+    /// Boundary probes additionally pin each gate exactly — legal *at*
+    /// the gate, `TooEarly` naming the gate one cycle before it.
     #[test]
     fn legality_table_matches_fsm_check(
         attempts in proptest::collection::vec(arb_attempt(), 1..150)
     ) {
         let mut dev = DramDevice::new(DramConfig::default());
         let timings = *dev.timings();
-        let mut table = LegalityTable::default();
+        let rank = Rank::new(0);
         let mut now = McCycle::new(10);
         for a in attempts {
             if let Some(cmd) = to_command(a, &timings) {
@@ -131,51 +134,58 @@ proptest! {
             } else if let Attempt::Wait { cycles } = a {
                 now += cycles as u64;
             }
-            table.fill(&dev, Rank::new(0));
+            let rt = dev.rank_timing(rank);
+            let lanes: BankLanes<'_> = dev.bank_lanes(rank);
             for b in 0..8usize {
+                prop_assert_eq!(
+                    lanes.open_row[b],
+                    dev.bank(rank, Bank::new(b as u32)).state.open_row_lane(),
+                    "open-row lane disagrees with the bank view (bank {})", b
+                );
+                let open = lanes.open_row[b] != IDLE_ROW;
+                let g = lanes.bank_gates(b, &rt);
                 let cmds = probes(b as u32, &timings);
-                let lanes = [table.act[b], table.read[b], table.write[b], table.pre[b]];
-                for (cmd, lane) in cmds.iter().zip(lanes) {
-                    // The one-comparison claim, at the current cycle.
-                    prop_assert_eq!(
-                        now.raw() >= lane,
-                        dev.can_issue(cmd, now).is_ok(),
-                        "table/FSM disagree at now={} lane={} for {:?}",
-                        now, lane, cmd
-                    );
-                    if lane == NEVER {
+                let gates = [(g.act, !open), (g.read, open), (g.write, open), (g.pre, open)];
+                for (cmd, (gate, admitted)) in cmds.iter().zip(gates) {
+                    if !admitted {
                         // State-forbidden: the FSM must refuse with a
-                        // state error, not a timing one (a stale table
-                        // may be wrong about state; a fresh one not).
+                        // state error, not a timing one.
                         match dev.can_issue(cmd, now) {
                             Err(IssueError::WrongBankState { .. }) => {}
                             other => prop_assert!(
                                 false,
-                                "NEVER lane but FSM said {:?} for {:?}",
-                                other, cmd
+                                "open-row lane forbids {:?} but FSM said {:?}",
+                                cmd, other
                             ),
                         }
                         continue;
                     }
-                    // Boundary: legal exactly at the lane...
-                    prop_assert!(
-                        dev.can_issue(cmd, McCycle::new(lane)).is_ok(),
-                        "illegal at its own lane {} for {:?}",
-                        lane, cmd
+                    // The one-comparison claim, at the current cycle.
+                    prop_assert_eq!(
+                        now >= gate,
+                        dev.can_issue(cmd, now).is_ok(),
+                        "gate/FSM disagree at now={} gate={} for {:?}",
+                        now, gate, cmd
                     );
-                    // ...and `TooEarly` one cycle before it.
-                    if lane > 0 {
-                        match dev.can_issue(cmd, McCycle::new(lane - 1)) {
+                    // Boundary: legal exactly at the gate...
+                    prop_assert!(
+                        dev.can_issue(cmd, gate).is_ok(),
+                        "illegal at its own gate {} for {:?}",
+                        gate, cmd
+                    );
+                    // ...and `TooEarly` naming the gate one cycle before.
+                    if gate.raw() > 0 {
+                        match dev.can_issue(cmd, McCycle::new(gate.raw() - 1)) {
                             Err(IssueError::TooEarly { earliest, .. }) => {
                                 prop_assert_eq!(
-                                    earliest.raw(), lane,
-                                    "FSM earliest disagrees with lane for {:?}", cmd
+                                    earliest, gate,
+                                    "FSM earliest disagrees with the gate for {:?}", cmd
                                 );
                             }
                             other => prop_assert!(
                                 false,
-                                "expected TooEarly below lane {}, got {:?} for {:?}",
-                                lane, other, cmd
+                                "expected TooEarly below gate {}, got {:?} for {:?}",
+                                gate, other, cmd
                             ),
                         }
                     }

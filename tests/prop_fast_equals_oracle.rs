@@ -1,11 +1,11 @@
 //! The production fast path against the naive per-cycle oracle.
 //!
 //! `System::run_traced` — the event calendar with cores running ahead,
-//! busy-period skipping, the bank timing wheel and the batch legality
-//! kernel — must reproduce `System::run_reference` bit for bit. The
-//! reference ticks every core every CPU cycle and runs every channel
-//! controller's full pipeline every memory cycle, enumerating by a flat
-//! queue scan (`nuat_sim::oracle`, `nuat_core::oracle`). Compared: the
+//! busy-period skipping and the bank timing wheel — must reproduce
+//! `System::run_reference` bit for bit. The reference ticks every core
+//! every CPU cycle and runs every channel controller's full pipeline
+//! every memory cycle, enumerating by a flat queue scan
+//! (`nuat_sim::oracle`, `nuat_core::oracle`). Compared: the
 //! result fingerprint, each channel's observable event stream (every
 //! enqueue, DRAM command, read completion and power transition, in
 //! order) and its epoch samples.
@@ -17,15 +17,18 @@
 //!
 //! The configurations sampled are the ones the determinism goldens
 //! never touch: 1, 2 and 4 ranks; 8, 16 and 64 banks per rank (64 is
-//! the validated maximum and the full width of the SWAR bank masks);
+//! the validated maximum and the full width of the queues' bank masks);
 //! `PbGrouping::paper(n)` for n in 1..=5; all three address mappings;
 //! power-down and refresh postponement; 1, 2 and 4 channels; queue
 //! depths from 16 to 256; and six processor/controller corner cases
-//! with a warm-up reset and a mid-trace cycle cap.
+//! with a warm-up reset and a mid-trace cycle cap. Most runs end before
+//! the first refresh (due at cycle 50,000);
+//! `oracle_matches_across_refresh_batches` runs past two.
 //!
-//! `prop_swar_lanes_match_scalar_oracle` checks a different oracle: the
-//! SWAR legality lanes and batch keys against the scalar gate and
-//! `bank_key` derivations, at live controller states.
+//! `prop_wheel_keys_bound_bank_keys` checks a different oracle: the
+//! timing wheel's lower-bound invariant — no bank's stored key later
+//! than the `bank_key` derived from its current gates — at live
+//! controller states.
 //!
 //! The lockstep tests drop the cores and replay traces straight into
 //! bare controllers, one production and one reference controller per
@@ -277,8 +280,8 @@ fn assert_same_controller_state(
 /// Advances every channel's production and reference controller by
 /// `cycles` and compares them. The production side runs `run_for`
 /// (busy-period and idle skipping) unless `per_cycle`, when it ticks
-/// one cycle at a time and checks its batch legality kernel against
-/// the scalar derivations after every tick.
+/// one cycle at a time; either way its wheel keys are checked against
+/// `bank_key` after every advance (with `per_cycle`, every tick).
 fn advance_both(
     fast: &mut [MemoryController],
     slow: &mut [MemoryController],
@@ -290,10 +293,11 @@ fn advance_both(
         if per_cycle {
             for _ in 0..cycles {
                 f.tick();
-                f.debug_check_batch_vs_scalar();
+                f.debug_check_wheel_keys();
             }
         } else {
             f.run_for(cycles);
+            f.debug_check_wheel_keys();
         }
         for _ in 0..cycles {
             s.tick_reference();
@@ -308,7 +312,7 @@ fn advance_both(
 /// each record both sides advance by its gap in memory cycles, and
 /// after every `burst` records by a further `idle` cycles, so refresh,
 /// power-down and idle skipping come up. See [`advance_both`] for
-/// `per_cycle`.
+/// `per_cycle`. Returns the reference controllers.
 fn assert_controllers_in_lockstep(
     cfg: SystemConfig,
     scheduler: SchedulerKind,
@@ -317,7 +321,7 @@ fn assert_controllers_in_lockstep(
     (burst, idle): (usize, u64),
     per_cycle: bool,
     what: &str,
-) {
+) -> Vec<MemoryController> {
     let channels = cfg.dram.geometry.channels as usize;
     let controllers = || -> Vec<MemoryController> {
         (0..channels)
@@ -374,6 +378,7 @@ fn assert_controllers_in_lockstep(
         let skipped: u64 = fast.iter().map(MemoryController::cycles_skipped).sum();
         assert!(skipped > 0, "{what}: the production side never skipped");
     }
+    slow
 }
 
 proptest! {
@@ -409,14 +414,13 @@ proptest! {
         assert_shape(shape, &[WORKLOADS[w0], WORKLOADS[w1]], mem_ops);
     }
 
-    /// Live-state check of the batch legality kernel: replay a workload
-    /// into a bare controller of a random geometry and, every `stride`
-    /// cycles, rebuild its SWAR lanes from scratch and compare the
-    /// ready bitmaps, per-bank batch keys and fused minimum against the
-    /// scalar `BankGates`/`bank_key` derivation over the controller's
-    /// current timing state.
+    /// Live-state check of the timing wheel: replay a workload into a
+    /// bare controller of a random geometry and, every `stride` cycles,
+    /// check that no bank's stored wheel key is later than the
+    /// `bank_key` derived from the controller's current gates, queues
+    /// and refresh-pending flags.
     #[test]
-    fn prop_swar_lanes_match_scalar_oracle(
+    fn prop_wheel_keys_bound_bank_keys(
         ranks in prop_oneof![Just(1u64), Just(2u64), Just(4u64)],
         banks in prop_oneof![Just(8u64), Just(16u64), Just(64u64)],
         depth in prop_oneof![Just(32usize), Just(256usize)],
@@ -447,7 +451,7 @@ proptest! {
                 mc.tick();
                 cycle += 1;
                 if cycle.is_multiple_of(stride) {
-                    mc.debug_check_batch_vs_scalar();
+                    mc.debug_check_wheel_keys();
                 }
             };
             for rec in trace.records() {
@@ -634,6 +638,51 @@ fn oracle_matches_across_processor_and_controller_corners() {
     }
 }
 
+/// Two ranks at the stock queue depth, run past each rank's second
+/// refresh batch with requests queued, under every scheduler: whole
+/// runs against `run_reference`, and the same traces replayed into
+/// bare controllers in lockstep with reference ones. Refresh is where
+/// the wheel re-derives whole ranks (the `REF` moves every act gate and
+/// un-suppresses idle banks), and the other cases end before the first
+/// batch is due at cycle 50,000.
+#[test]
+fn oracle_matches_across_refresh_batches() {
+    let shape = Shape {
+        ranks: 2,
+        ..stock(1, 64)
+    };
+    let cfg = shape.config(2);
+    let grouping = PbGrouping::paper(5);
+    let workloads = ["comm3", "black"];
+    let rc = RunConfig {
+        mem_ops_per_core: 8_000,
+        ..RunConfig::quick()
+    };
+    let specs: Vec<_> = workloads.iter().map(|w| by_name(w).unwrap()).collect();
+    let traces = traces_for(&specs, &cfg, &rc);
+    for scheduler in SCHEDULERS {
+        let what = format!("{scheduler:?} across refresh batches");
+        let r = assert_fast_equals_oracle(cfg, scheduler, &grouping, &workloads, &rc, &what);
+        assert!(
+            r.completed && r.mc_cycles >= 120_000 && r.stats.refreshes >= 4,
+            "{what}: the run must cross two refresh batches per rank"
+        );
+        let slow = assert_controllers_in_lockstep(
+            cfg,
+            scheduler,
+            &grouping,
+            &traces,
+            (1, 0),
+            false,
+            &format!("{what}, lockstep"),
+        );
+        assert!(
+            slow[0].now().raw() >= 120_000 && slow[0].stats().refreshes >= 4,
+            "{what}, lockstep: the replay must cross two refresh batches per rank"
+        );
+    }
+}
+
 /// The event calendar against the per-cycle loop on the stock geometry,
 /// deterministically: every scheduler at queue depths 32 and 256, on
 /// one and four channels.
@@ -654,12 +703,12 @@ fn wheel_two_channel_goldens_match_scan() {
     assert_shape(stock(2, 64), &["ferret", "comm1"], 600);
 }
 
-/// The batch legality kernel against the scalar gate and `bank_key`
-/// derivations after every tick of the two-channel golden traffic, at
-/// queue depths 32 and 256 under every scheduler, with each production
-/// controller held in lockstep with a reference one.
+/// Production ticked one cycle at a time in lockstep with the
+/// reference on the two-channel golden traffic, at queue depths 32 and
+/// 256 under every scheduler, with the wheel keys checked against
+/// `bank_key` after every tick.
 #[test]
-fn batch_two_channel_goldens_match_scalar() {
+fn per_tick_two_channel_goldens_match_oracle() {
     let rc = RunConfig {
         mem_ops_per_core: 600,
         ..RunConfig::quick()
