@@ -187,13 +187,15 @@ pub struct MemoryController<S: TraceSink = NullSink, M: MetricsSink = NullMetric
     /// with. While the flag is unchanged (and no `REF` issues, and the
     /// marker is not due) the marker's key needs no re-derivation.
     marker_pending: Vec<bool>,
-    /// Full pipeline passes (`tick_inner` executions) — the cycles that
-    /// were *not* crossed by quiet-span or idle fast-forwarding
-    /// (diagnostic; deliberately not part of `ControllerStats`).
+    /// Full pipeline passes (`tick_inner` executions) — the cycles
+    /// `advance_quiet` did *not* cross (diagnostic; deliberately not
+    /// part of `ControllerStats`).
     full_ticks: u64,
-    /// Cycles advanced through `advance_quiet` instead of full ticks
-    /// (diagnostic; deliberately not part of `ControllerStats`, which
-    /// must stay bit-identical between skipping and per-tick modes).
+    /// Busy cycles (requests queued) that `advance_quiet` crossed
+    /// instead of full ticks; idle spans, with the queues empty, are not
+    /// counted (diagnostic; deliberately not part of `ControllerStats`,
+    /// which must stay bit-identical between skipping and per-tick
+    /// modes).
     cycles_skipped: u64,
     /// The instrumentation sink. [`NullSink`] by default; see the type
     /// docs.
@@ -539,15 +541,15 @@ impl<S: TraceSink, M: MetricsSink> MemoryController<S, M> {
         self.policy.pseudo_hit_rate()
     }
 
-    /// Cycles advanced in bulk by busy skipping instead of full ticks
-    /// (diagnostic; not part of [`ControllerStats`]).
+    /// Cycles with requests queued that were crossed in bulk as quiet
+    /// spans instead of full ticks; quiet cycles with the queues empty
+    /// are not counted (diagnostic; not part of [`ControllerStats`]).
     pub fn cycles_skipped(&self) -> u64 {
         self.cycles_skipped
     }
 
-    /// Full pipeline passes executed (cycles not crossed in bulk by
-    /// quiet-span or idle fast-forwarding; diagnostic, not part of
-    /// [`ControllerStats`]).
+    /// Full pipeline passes executed: the cycles not crossed in bulk as
+    /// quiet spans (diagnostic, not part of [`ControllerStats`]).
     pub fn full_ticks(&self) -> u64 {
         self.full_ticks
     }
@@ -992,6 +994,11 @@ impl<S: TraceSink, M: MetricsSink> MemoryController<S, M> {
     /// were counting toward power-down — advances by `n`; everything
     /// else (queues, bank/charge state, refresh position, power states)
     /// is untouched, which is precisely what makes the span skippable.
+    ///
+    /// The span is *idle* when the queues are empty and *busy*
+    /// otherwise; the label picks the skip counter, the span histogram
+    /// and the [`TraceEvent::QuietSpan`] kind, and only busy spans count
+    /// toward [`cycles_skipped`](Self::cycles_skipped).
     fn advance_quiet(&mut self, n: u64) {
         self.stats.total_cycles += n;
         self.policy.on_idle_cycles(n);
@@ -1004,116 +1011,40 @@ impl<S: TraceSink, M: MetricsSink> MemoryController<S, M> {
         }
         let from = self.now.raw();
         self.now += n;
-        self.cycles_skipped += n;
+        let busy = !self.queues.is_empty();
+        if busy {
+            self.cycles_skipped += n;
+        }
         if M::ENABLED {
-            self.metrics.add(Counter::SkipBusyCycles, n);
-            self.metrics.observe(Hist::BusySkipSpan, n);
+            let (counter, span) = if busy {
+                (Counter::SkipBusyCycles, Hist::BusySkipSpan)
+            } else {
+                (Counter::SkipIdleCycles, Hist::IdleSkipSpan)
+            };
+            self.metrics.add(counter, n);
+            self.metrics.observe(span, n);
             if self.metrics.sample_due(self.now.raw()) {
                 self.refresh_wheel_gauges();
                 self.metrics.sample(self.now.raw());
             }
         }
         if S::ENABLED {
-            self.note_quiet(from, n, true);
+            self.note_quiet(from, n, busy);
             self.sample_epochs();
         }
     }
 
-    /// Runs `cycles` ticks, fast-forwarding through guaranteed-idle
-    /// stretches (see [`fast_forward_idle`](Self::fast_forward_idle))
-    /// and bulk-advancing provably-dead busy spans in one step instead
-    /// of `tick`'s one-at-a-time fast path.
+    /// Runs `cycles` cycles: each span the busy horizon proves quiet
+    /// (see [`skippable_cycles`](Self::skippable_cycles)) is crossed in
+    /// one bulk advance, and every other cycle takes a full tick.
     pub fn run_for(&mut self, cycles: u64) {
         let end = self.now.raw() + cycles;
         while self.now.raw() < end {
-            if self.fast_forward_idle(end) > 0 {
-                continue;
-            }
-            if let Some(h) = self.busy_horizon {
-                let n = h.min(end).saturating_sub(self.now.raw());
-                if n > 0 {
-                    self.advance_quiet(n);
-                    continue;
-                }
-            }
-            self.tick();
-        }
-    }
-
-    /// Earliest future cycle at which an idle controller must run a real
-    /// tick again: the first cycle some rank's refresh leaves `NotDue`
-    /// (the lead-window start), or — under power management — the tick
-    /// on which some awake rank's idle counter reaches the power-down
-    /// threshold. Returns `None` when the *current* cycle already needs
-    /// a real tick (queued work, or a refresh already outside `NotDue`).
-    fn next_event_cycle(&self) -> Option<u64> {
-        if !self.queues.is_empty() {
-            return None;
-        }
-        let ranks = self.cfg.dram.geometry.ranks_per_channel as usize;
-        let mut horizon = u64::MAX;
-        for r in 0..ranks {
-            let engine = self.device.refresh_engine(Rank::new(r as u32));
-            if engine.urgency(self.now) != nuat_dram::refresh::RefreshUrgency::NotDue {
-                return None;
-            }
-            horizon = horizon.min(engine.pending_from().raw());
-        }
-        let threshold = self.cfg.controller.powerdown_after_idle;
-        if threshold > 0 {
-            for (r, &idle) in self.rank_idle_cycles.iter().enumerate() {
-                if self.device.is_powered_down(Rank::new(r as u32)) {
-                    continue;
-                }
-                // The tick that takes the counter from `threshold - 1`
-                // to `threshold` performs the power-down (possibly
-                // closing parked rows first) and must run for real.
-                horizon = horizon.min(self.now.raw() + (threshold - 1).saturating_sub(idle));
+            match self.skippable_cycles().min(end - self.now.raw()) {
+                0 => self.tick(),
+                n => self.advance_quiet(n),
             }
         }
-        Some(horizon)
-    }
-
-    /// Skips ahead over cycles that are provably no-ops — empty queues,
-    /// every rank's refresh strictly inside `NotDue`, and no rank on the
-    /// brink of a power-down decision — without running them one by one.
-    /// Cycle accounting stays exact: `total_cycles`, the policy's
-    /// windowed state (via `on_idle_cycles`) and the per-rank idle
-    /// counters all advance by the skipped amount, so the observable
-    /// state is identical to ticking through the gap. Returns the number
-    /// of cycles skipped (0 when the current cycle needs a real tick).
-    pub fn fast_forward_idle(&mut self, limit: u64) -> u64 {
-        let Some(horizon) = self.next_event_cycle() else {
-            return 0;
-        };
-        let n = horizon.min(limit).saturating_sub(self.now.raw());
-        if n == 0 {
-            return 0;
-        }
-        self.stats.total_cycles += n;
-        self.policy.on_idle_cycles(n);
-        if self.cfg.controller.powerdown_after_idle > 0 {
-            for (r, idle) in self.rank_idle_cycles.iter_mut().enumerate() {
-                if !self.device.is_powered_down(Rank::new(r as u32)) {
-                    *idle += n;
-                }
-            }
-        }
-        let from = self.now.raw();
-        self.now += n;
-        if M::ENABLED {
-            self.metrics.add(Counter::SkipIdleCycles, n);
-            self.metrics.observe(Hist::IdleSkipSpan, n);
-            if self.metrics.sample_due(self.now.raw()) {
-                self.refresh_wheel_gauges();
-                self.metrics.sample(self.now.raw());
-            }
-        }
-        if S::ENABLED {
-            self.note_quiet(from, n, false);
-            self.sample_epochs();
-        }
-        n
     }
 
     /// One due bank's candidates: appends them (if any) to
@@ -1587,9 +1518,7 @@ impl<S: TraceSink, M: MetricsSink> MemoryController<S, M> {
                     }
                 }
                 DramCommand::Read { bank, .. } | DramCommand::Write { bank, .. } => {
-                    (1u64 << bank.index())
-                        | self.queues.hit_read_mask(ir)
-                        | self.queues.hit_write_mask(ir)
+                    (1u64 << bank.index()) | self.queues.hit_mask(ir)
                 }
                 DramCommand::Precharge { bank, .. } => 1u64 << bank.index(),
                 DramCommand::Refresh { .. } => unreachable!("a REF re-derives its whole rank"),
@@ -2196,17 +2125,19 @@ mod tests {
         assert!(act.pb.is_some());
         assert!(act.trcd.is_some() && act.tras.is_some());
         // Quiet spans are coalesced and cover exactly the skipped cycles.
-        let quiet: u64 = sink
-            .events
-            .iter()
-            .map(|e| match e {
-                TraceEvent::QuietSpan {
-                    cycles, busy: true, ..
-                } => *cycles,
-                _ => 0,
-            })
-            .sum();
-        assert_eq!(quiet, mc.cycles_skipped());
+        let quiet = |kind: bool| -> u64 {
+            sink.events
+                .iter()
+                .map(|e| match e {
+                    TraceEvent::QuietSpan { cycles, busy, .. } if *busy == kind => *cycles,
+                    _ => 0,
+                })
+                .sum()
+        };
+        assert_eq!(quiet(true), mc.cycles_skipped());
+        // Busy spans, idle spans and full ticks account for every cycle.
+        assert!(quiet(false) > 0, "the drained tail must be an idle span");
+        assert_eq!(quiet(true) + quiet(false) + mc.full_ticks(), mc.now().raw());
     }
 
     #[test]

@@ -26,7 +26,7 @@
 //!   / [`note_row_close`](RequestQueues::note_row_close)).
 //!
 //! The slab is split into *hot* and *cold* lanes. Hot: the six
-//! intrusive links in a dense 12-byte-per-slot lane ([`SlotLinks`]),
+//! intrusive links in a dense 12-byte-per-slot lane (`SlotLinks`),
 //! the age id (8 bytes), the bank key (2 bytes), the row coordinate
 //! (4 bytes), and a flags byte that also encodes the request kind.
 //! Cold: the full ~56-byte request payload (`reqs`). Every list walk —
@@ -376,12 +376,10 @@ pub struct RequestQueues {
     /// of touching every sibling's `BankIndex`:
     /// bit b of `work_mask[r]` ⟺ bank b has queued requests,
     /// `open_mask[r]` ⟺ its open-row mirror is set,
-    /// `hit_read_mask[r]` / `hit_write_mask[r]` ⟺ it has open-row
-    /// read / write hits queued.
+    /// `hit_mask[r]` ⟺ it has open-row hits (reads or writes) queued.
     work_mask: Vec<u64>,
     open_mask: Vec<u64>,
-    hit_read_mask: Vec<u64>,
-    hit_write_mask: Vec<u64>,
+    hit_mask: Vec<u64>,
 }
 
 impl RequestQueues {
@@ -426,8 +424,7 @@ impl RequestQueues {
             next_id: 0,
             work_mask: vec![0; ranks],
             open_mask: vec![0; ranks],
-            hit_read_mask: vec![0; ranks],
-            hit_write_mask: vec![0; ranks],
+            hit_mask: vec![0; ranks],
         }
     }
 
@@ -441,14 +438,9 @@ impl RequestQueues {
         self.open_mask[r]
     }
 
-    /// Banks of rank `r` with queued open-row *read* hits, as a bitmap.
-    pub(crate) fn hit_read_mask(&self, r: usize) -> u64 {
-        self.hit_read_mask[r]
-    }
-
-    /// Banks of rank `r` with queued open-row *write* hits, as a bitmap.
-    pub(crate) fn hit_write_mask(&self, r: usize) -> u64 {
-        self.hit_write_mask[r]
+    /// Banks of rank `r` with queued open-row hits, as a bitmap.
+    pub(crate) fn hit_mask(&self, r: usize) -> u64 {
+        self.hit_mask[r]
     }
 
     fn key_of(&self, req: &MemoryRequest) -> usize {
@@ -545,10 +537,7 @@ impl RequestQueues {
         let bit = 1u64 << (key - rank * self.banks_per_rank);
         self.work_mask[rank] |= bit;
         if self.meta[i as usize].flags & FLAG_IN_HIT != 0 {
-            match kind {
-                RequestKind::Read => self.hit_read_mask[rank] |= bit,
-                RequestKind::Write => self.hit_write_mask[rank] |= bit,
-            }
+            self.hit_mask[rank] |= bit;
         }
         match kind {
             RequestKind::Read => self.read_len += 1,
@@ -639,11 +628,8 @@ impl RequestQueues {
         if b.len == 0 {
             self.work_mask[rank] &= !bit;
         }
-        if b.hit_read_count == 0 {
-            self.hit_read_mask[rank] &= !bit;
-        }
-        if b.hit_write_count == 0 {
-            self.hit_write_mask[rank] &= !bit;
+        if b.hit_read_count + b.hit_write_count == 0 {
+            self.hit_mask[rank] &= !bit;
         }
         match kind {
             RequestKind::Read => self.read_len -= 1,
@@ -716,11 +702,7 @@ impl RequestQueues {
                 }
             }
             self.meta[activator as usize].flags |= FLAG_IN_HIT;
-            let bit = 1u64 << bank.index();
-            match kind {
-                RequestKind::Read => self.hit_read_mask[rank.index()] |= bit,
-                RequestKind::Write => self.hit_write_mask[rank.index()] |= bit,
-            }
+            self.hit_mask[rank.index()] |= 1u64 << bank.index();
             return;
         }
         let b = &mut self.banks[key];
@@ -750,12 +732,8 @@ impl RequestQueues {
             }
         }
         let b = &self.banks[key];
-        let bit = 1u64 << bank.index();
-        if b.hit_read_count > 0 {
-            self.hit_read_mask[rank.index()] |= bit;
-        }
-        if b.hit_write_count > 0 {
-            self.hit_write_mask[rank.index()] |= bit;
+        if b.hit_read_count + b.hit_write_count > 0 {
+            self.hit_mask[rank.index()] |= 1u64 << bank.index();
         }
     }
 
@@ -778,8 +756,7 @@ impl RequestQueues {
         b.hit_write_count = 0;
         let bit = !(1u64 << bank.index());
         self.open_mask[rank.index()] &= bit;
-        self.hit_read_mask[rank.index()] &= bit;
-        self.hit_write_mask[rank.index()] &= bit;
+        self.hit_mask[rank.index()] &= bit;
     }
 
     fn update_mode(&mut self) {

@@ -24,7 +24,7 @@
 //! probe cycles. Both forms produce the same submits on the same cycles,
 //! the same finish cycle and the same stall count.
 //!
-//! The ROB is run-length encoded: one [`Run`] holds consecutive fetch
+//! The ROB is run-length encoded: one `Run` holds consecutive fetch
 //! groups that complete on consecutive cycles, so a steady-state span
 //! (ROB full, `retire_width` instructions retiring and as many fetched
 //! each cycle) is one O(1) append plus the retirement of whole runs.

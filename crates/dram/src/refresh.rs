@@ -124,10 +124,10 @@ impl RefreshEngine {
     }
 
     /// First cycle at which [`urgency`](Self::urgency) stops reporting
-    /// [`RefreshUrgency::NotDue`] (the start of the lead window). Idle
-    /// fast-forwarding uses this as its refresh event horizon: every
-    /// cycle strictly before it is guaranteed refresh-inert.
-    pub fn pending_from(&self) -> McCycle {
+    /// [`RefreshUrgency::NotDue`] (the start of the lead window): the
+    /// first of the three urgency transitions
+    /// [`next_transition_after`](Self::next_transition_after) picks from.
+    fn pending_from(&self) -> McCycle {
         McCycle::new(self.next_due().raw().saturating_sub(self.lead))
     }
 
@@ -149,8 +149,8 @@ impl RefreshEngine {
     /// First cycle strictly after `now` at which [`urgency`](Self::urgency)
     /// changes value, or `None` if `now` is already at or past the final
     /// transition (Overdue never de-escalates until a batch completes).
-    /// Busy-period skipping uses this as the refresh component of the
-    /// controller's event horizon: between `now` and the returned cycle
+    /// The controller's busy horizon uses this as its refresh component
+    /// (empty queues included): between `now` and the returned cycle
     /// the urgency — and therefore every refresh-driven scheduling
     /// decision — is constant.
     pub fn next_transition_after(&self, now: McCycle) -> Option<McCycle> {

@@ -187,11 +187,7 @@ impl<W: Write + Send> TraceSink for ChromeTraceSink<W> {
         match *event {
             TraceEvent::Command(ref e) => self.command(e),
             TraceEvent::QuietSpan { from, cycles, busy } => {
-                let name = if busy {
-                    "busy skip"
-                } else {
-                    "idle fast-forward"
-                };
+                let name = if busy { "busy skip" } else { "idle skip" };
                 let mut args = ObjBuilder::new();
                 args.u64("cycles", cycles);
                 self.slice(name, TID_CONTROLLER, from, cycles, Some(args.finish()));

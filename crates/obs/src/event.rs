@@ -120,16 +120,16 @@ pub enum TraceEvent {
         /// True on power-down entry, false on wake.
         powered_down: bool,
     },
-    /// A span of provably-dead cycles was crossed without full ticks
-    /// (the PR 2 busy-skip machinery). Consecutive quiet cycles are
-    /// coalesced into one event per maximal span.
+    /// A span of provably-quiet cycles was crossed without full ticks
+    /// (the controller's busy horizon). Consecutive quiet cycles of one
+    /// kind are coalesced into one event per maximal span.
     QuietSpan {
         /// First cycle of the span.
         from: u64,
         /// Span length in cycles.
         cycles: u64,
-        /// True for busy-period skips (work queued but nothing legal),
-        /// false for idle fast-forwards (no work queued at all).
+        /// True for busy spans (work queued but nothing legal), false
+        /// for idle spans (the queues empty).
         busy: bool,
     },
 }

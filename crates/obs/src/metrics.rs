@@ -45,10 +45,11 @@ pub enum Counter {
     PhaseDrainNanos,
     /// Cycles executed as full ticks (per-cycle scheduling work done).
     TickCycles,
-    /// Cycles skipped inside busy quiet spans (must reconcile exactly
-    /// with the controller's `cycles_skipped` total).
+    /// Cycles skipped inside busy quiet spans, with requests queued
+    /// (must reconcile exactly with the controller's `cycles_skipped`
+    /// total).
     SkipBusyCycles,
-    /// Cycles fast-forwarded while fully idle.
+    /// Cycles skipped inside idle quiet spans, with the queues empty.
     SkipIdleCycles,
     /// ACT commands issued.
     CmdActivate,
@@ -157,7 +158,7 @@ impl Counter {
             Counter::PhaseDrainNanos => "Wall nanoseconds draining completions to cores",
             Counter::TickCycles => "Cycles executed as full scheduling ticks",
             Counter::SkipBusyCycles => "Cycles skipped inside busy quiet spans",
-            Counter::SkipIdleCycles => "Cycles fast-forwarded while idle",
+            Counter::SkipIdleCycles => "Cycles skipped inside idle quiet spans (queues empty)",
             Counter::CmdActivate => "ACT commands issued",
             Counter::CmdRead => "Column-read commands issued",
             Counter::CmdWrite => "Column-write commands issued",
@@ -202,9 +203,9 @@ pub enum Hist {
     QueueDepth,
     /// Requests enqueued between consecutive full ticks.
     EnqueueBatch,
-    /// Busy quiet-span lengths, cycles.
+    /// Busy quiet-span lengths (requests queued), cycles.
     BusySkipSpan,
-    /// Idle fast-forward span lengths, cycles.
+    /// Idle quiet-span lengths (queues empty), cycles.
     IdleSkipSpan,
     /// Timing-wheel lower-bound slack (new key minus current cycle) at
     /// each rekey.

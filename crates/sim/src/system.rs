@@ -151,7 +151,8 @@ impl Calendar {
 pub struct SimResult {
     /// Scheduler display name.
     pub scheduler: &'static str,
-    /// Memory cycles until the last core finished (or the cap).
+    /// Memory cycles until the last core finished and the posted writes
+    /// drained (or the cap).
     pub mc_cycles: u64,
     /// CPU cycles until the last core finished (the paper's total
     /// execution time).
@@ -168,8 +169,10 @@ pub struct SimResult {
     pub energy_pj: f64,
     /// Cycles spent in power-down across all ranks and channels.
     pub powerdown_cycles: u64,
-    /// Controller cycles advanced in bulk by event-driven busy skipping,
-    /// summed over channels (diagnostic: how often the skip engaged).
+    /// Controller cycles crossed in bulk as quiet spans while requests
+    /// were queued, summed over channels (diagnostic: how often the skip
+    /// engaged under load; quiet cycles with empty queues are not
+    /// counted).
     pub cycles_skipped: u64,
 }
 
@@ -383,7 +386,7 @@ impl<S: TraceSink, M: MetricsSink> System<S, M> {
     /// not polluted by the cold start (empty row buffers, fully-aligned
     /// refresh phase).
     pub fn run_with_warmup(mut self, max_mc_cycles: u64, warmup_reads: u64) -> SimResult {
-        self.run_core(max_mc_cycles, warmup_reads);
+        self.run_events(max_mc_cycles, warmup_reads);
         self.result()
     }
 
@@ -392,7 +395,7 @@ impl<S: TraceSink, M: MetricsSink> System<S, M> {
     /// emitting the final epoch sample, closing exporters) and returns
     /// the per-channel sinks alongside the result.
     pub fn run_traced(mut self, max_mc_cycles: u64, warmup_reads: u64) -> (SimResult, Vec<S>) {
-        self.run_core(max_mc_cycles, warmup_reads);
+        self.run_events(max_mc_cycles, warmup_reads);
         let result = self.result();
         let sinks = self
             .mcs
@@ -410,7 +413,7 @@ impl<S: TraceSink, M: MetricsSink> System<S, M> {
         max_mc_cycles: u64,
         warmup_reads: u64,
     ) -> (SimResult, Vec<S>, Vec<M>) {
-        self.run_core(max_mc_cycles, warmup_reads);
+        self.run_events(max_mc_cycles, warmup_reads);
         let result = self.result();
         let (sinks, metrics) = self
             .mcs
@@ -418,35 +421,6 @@ impl<S: TraceSink, M: MetricsSink> System<S, M> {
             .map(MemoryController::into_instrumentation)
             .unzip();
         (result, sinks, metrics)
-    }
-
-    /// The shared simulation loop: runs to completion or the cap, then
-    /// drains the controllers (posted writes).
-    fn run_core(&mut self, max_mc_cycles: u64, warmup_reads: u64) {
-        self.run_events(max_mc_cycles, warmup_reads);
-        // Post-retirement drain: no new requests arrive, so the only
-        // events left are queued writes, refreshes and power-down
-        // decisions. The channels stay in lockstep (idle channels keep
-        // refreshing while others drain), so bulk-skip exactly the span
-        // every channel agrees is quiet and tick the rest one by one.
-        while !self.mcs.iter().all(MemoryController::is_idle) && self.mc_now() < max_mc_cycles {
-            let span = self
-                .mcs
-                .iter()
-                .map(MemoryController::skippable_cycles)
-                .min()
-                .unwrap_or(0)
-                .min(max_mc_cycles - self.mc_now());
-            if span > 0 {
-                for mc in &mut self.mcs {
-                    mc.run_for(span);
-                }
-            } else {
-                for mc in &mut self.mcs {
-                    mc.tick();
-                }
-            }
-        }
     }
 
     /// Resets the statistics once `warmup_reads` reads have completed.
@@ -470,6 +444,12 @@ impl<S: TraceSink, M: MetricsSink> System<S, M> {
     /// the cycles between in one bulk advance, which cannot issue a
     /// command, complete a read or free a queue slot.
     ///
+    /// The loop ends at the cap, or once every core has retired and
+    /// every queue is empty: at the memory cycle after the last finish,
+    /// or later if posted writes are still queued there. The same loop
+    /// drains them, with an empty calendar and the channels in lockstep
+    /// (idle channels keep refreshing while others drain).
+    ///
     /// A core is caught up to the calendar's time only when its state is
     /// needed: before its filed tick, when a read completes for it (it is
     /// then run ahead again), and at the end of the run. A core refused
@@ -483,14 +463,17 @@ impl<S: TraceSink, M: MetricsSink> System<S, M> {
         }
         loop {
             let m = self.mc_now();
-            let stop = if cal.unfinished == 0 {
-                max_mc_cycles.min(cal.end)
+            // No advance crosses `retired`: the run may end there.
+            let retired = if cal.unfinished == 0 {
+                cal.end
             } else {
-                max_mc_cycles
+                u64::MAX
             };
-            if m >= stop {
+            let drained = m >= retired && self.mcs.iter().all(MemoryController::is_idle);
+            if m >= max_mc_cycles || drained {
                 break;
             }
+            let stop = if m < retired { retired } else { u64::MAX }.min(max_mc_cycles);
             let next = self
                 .mcs
                 .iter()
@@ -504,7 +487,7 @@ impl<S: TraceSink, M: MetricsSink> System<S, M> {
                     mc.run_for(next - m);
                 }
                 if next == stop {
-                    break;
+                    continue;
                 }
             }
             let end = McCycle::new(next + 1).to_cpu().raw();

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Full verification gate: formatting, release build, test suite (debug
-# and release), the benchmark smoke run, lint-clean clippy across every target, a compile check of the
+# and release), the benchmark smoke run, lint-clean clippy across every
+# target, the API docs built with warnings denied, a compile check of the
 # bench code (which `cargo test` does not build, so it could otherwise
 # rot silently), and a smoke run of the instrumentation stack
 # (trace_study self-checks its artifacts against end-of-run stats).
@@ -18,6 +19,9 @@ cargo test --release -q
 # (exact replay, digest repeatability, campaign output determinism).
 bash benchmark/smoke.sh
 cargo clippy --workspace --all-targets -- -D warnings
+# API docs with warnings denied: a broken or private intra-doc link
+# (say, to a deleted item) fails here.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 cargo bench --no-run
 smoke_dir=$(mktemp -d)
 trap 'rm -rf "$smoke_dir"' EXIT

@@ -1,6 +1,6 @@
 //! Determinism guards: lock the simulator's exact outputs so hot-path
-//! optimizations (scratch buffers, single-pass scoring, idle
-//! fast-forward, parallel execution) cannot silently change scheduling
+//! optimizations (scratch buffers, single-pass scoring, quiet-span
+//! skipping, parallel execution) cannot silently change scheduling
 //! decisions. Every value here was recorded from the straightforward
 //! reference implementation; a mismatch means an "optimization" altered
 //! simulated behaviour, not just speed.
@@ -300,6 +300,20 @@ fn attached_metrics_runs_are_byte_identical_to_null_metrics_runs() {
             instrumented.cycles_skipped,
             "{kind:?}: skip ledger"
         );
+        // Every cycle is a full tick, a busy skip or an idle skip.
+        assert_eq!(
+            rec.counter(Counter::TickCycles)
+                + rec.counter(Counter::SkipBusyCycles)
+                + rec.counter(Counter::SkipIdleCycles),
+            instrumented.mc_cycles,
+            "{kind:?}: cycle ledger"
+        );
+        if kind == SchedulerKind::Nuat {
+            assert!(
+                rec.counter(Counter::SkipIdleCycles) > 0,
+                "{kind:?}: no idle span was skipped"
+            );
+        }
         assert_eq!(
             rec.counter(Counter::CmdActivate),
             instrumented.stats.acts_for_reads + instrumented.stats.acts_for_writes,
@@ -339,10 +353,10 @@ fn loaded_controller(powerdown_after_idle: u64) -> MemoryController {
     mc
 }
 
-/// `run_for`'s idle fast-forward must be invisible: a burst of work,
-/// then a long idle stretch crossing several refresh intervals and the
-/// power-down threshold, must leave the controller in exactly the state
-/// a cycle-by-cycle loop produces.
+/// `run_for`'s quiet-span skipping must be invisible: a burst of work,
+/// then a long idle stretch (queues empty) crossing several refresh
+/// intervals and the power-down threshold, must leave the controller in
+/// exactly the state a cycle-by-cycle loop produces.
 #[test]
 fn fast_forward_is_cycle_accurate() {
     // Refresh batches are due every 50k cycles (tREFI 6250 x 8 rows);

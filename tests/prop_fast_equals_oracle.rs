@@ -21,9 +21,10 @@
 //! `PbGrouping::paper(n)` for n in 1..=5; all three address mappings;
 //! power-down and refresh postponement; 1, 2 and 4 channels; queue
 //! depths from 16 to 256; and six processor/controller corner cases
-//! with a warm-up reset and a mid-trace cycle cap. Most runs end before
-//! the first refresh (due at cycle 50,000);
-//! `oracle_matches_across_refresh_batches` runs past two.
+//! with a warm-up reset, a mid-trace cycle cap and a cap inside the
+//! post-retirement write drain. Most runs end before the first refresh
+//! (due at cycle 50,000); `oracle_matches_across_refresh_batches` runs
+//! past two.
 //!
 //! `prop_wheel_keys_bound_bank_keys` checks a different oracle: the
 //! timing wheel's lower-bound invariant — no bank's stored key later
@@ -41,7 +42,7 @@ use nuat_core::{MemoryController, RequestKind, SchedulerKind};
 use nuat_cpu::{MemOp, Trace};
 use nuat_obs::{EpochSample, MemorySink, TraceEvent};
 use nuat_sim::{traces_for, RunConfig, SimResult, System};
-use nuat_types::{AddressMapping, SystemConfig};
+use nuat_types::{AddressMapping, SystemConfig, CPU_CYCLES_PER_MC_CYCLE};
 use nuat_workloads::by_name;
 use proptest::prelude::*;
 
@@ -582,9 +583,12 @@ fn oracle_matches_on_every_axis_value() {
 /// The processor and controller corner cases: processor shapes other
 /// than Table 3's (a small ROB, retire wider than fetch, a deep or
 /// empty pipeline), two ranks with power-down, postponed refresh with
-/// shallow queues — each once with a warm-up reset and once with a
-/// cycle cap that stops the run while cores still have work (a core
-/// that ran ahead past the cap must count as unfinished).
+/// shallow queues — each once with a warm-up reset, once with a cycle
+/// cap that stops the run while cores still have work (a core that ran
+/// ahead past the cap must count as unfinished), and, on two comm1
+/// cores, once in full and once with a cap between the last core's
+/// finish and the end of the full run, inside the post-retirement write
+/// drain. At least one corner's drain must be cut short by that cap.
 #[test]
 fn oracle_matches_across_processor_and_controller_corners() {
     type Tweak = fn(&mut SystemConfig);
@@ -613,29 +617,50 @@ fn oracle_matches_across_processor_and_controller_corners() {
         }),
     ];
     let full = RunConfig::quick().max_mc_cycles;
+    let mut drains_cut = 0;
     for (name, tweak) in tweaks {
         let mut cfg = SystemConfig::with_cores(2);
         tweak(&mut cfg);
-        // (warm-up reads, cycle cap): a full run with a warm-up reset,
-        // and one capped well before the traces finish.
-        for (warmup, cap) in [(100, full), (0, 3_000)] {
+        let run = |workloads: [&str; 2], warmup: u64, cap: u64| {
             let rc = RunConfig {
                 mem_ops_per_core: 400,
                 warmup_reads: warmup,
                 max_mc_cycles: cap,
                 ..RunConfig::quick()
             };
-            let r = assert_fast_equals_oracle(
+            assert_fast_equals_oracle(
                 cfg,
                 SchedulerKind::Nuat,
                 &PbGrouping::paper(5),
-                &["comm3", "black"],
+                &workloads,
                 &rc,
-                &format!("{name}: warm-up {warmup}, cap {cap}"),
-            );
-            assert_eq!(r.completed, cap == full, "{name}, cap {cap}");
+                &format!("{name}: {workloads:?}, warm-up {warmup}, cap {cap}"),
+            )
+        };
+        let mix = ["comm3", "black"];
+        assert!(run(mix, 100, full).completed, "{name}: the run must finish");
+        assert!(
+            !run(mix, 0, 3_000).completed,
+            "{name}: cap 3,000 cuts the traces"
+        );
+        // Two comm1 cores leave posted writes queued at their finish;
+        // the full run ends once they drain, `retired` is the memory
+        // cycle after the last finish, and the cap lands in between.
+        let writes = ["comm1", "comm1"];
+        let whole = run(writes, 100, full);
+        assert!(whole.completed, "{name}: the comm1 run must finish");
+        let retired = whole.execution_cpu_cycles / CPU_CYCLES_PER_MC_CYCLE + 1;
+        let cap = retired + (whole.mc_cycles - retired) / 2;
+        let drain = run(writes, 100, cap);
+        assert!(
+            drain.completed,
+            "{name}: cores retire before a cap of {cap}"
+        );
+        if drain.stats.writes_drained < whole.stats.writes_drained {
+            drains_cut += 1;
         }
     }
+    assert!(drains_cut > 0, "no cap landed inside a write drain");
 }
 
 /// Two ranks at the stock queue depth, run past each rank's second
