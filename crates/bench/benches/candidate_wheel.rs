@@ -1,10 +1,11 @@
 //! Criterion micro-benchmark of wheel-driven candidate enumeration
 //! across channel geometries (1/2/4 ranks × 8/16 banks): one post-issue
 //! enumeration pass over a saturated controller state, with a single
-//! bank dirtied and only the ready set enumerated
+//! bank dirtied and only the due banks enumerated
 //! (`bench_enumerate_candidates_wheel`) — the steady-state shape of a
 //! real busy tick, one issued bank re-keyed and the rest riding their
-//! cached keys. The cost should stay nearly flat as banks are added.
+//! cached keys. Finding the due banks scans every key, so the cost grows
+//! with ranks × banks; the paper's channel is the 1-rank, 8-bank case.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use nuat_core::{MemoryController, RequestKind, SchedulerKind};

@@ -164,11 +164,7 @@ fn main() {
             s.reads_completed,
             s.writes_drained,
         );
-        println!(
-            "full_ticks={} wheel_overflow={}",
-            mc.full_ticks(),
-            mc.wheel_overflow_len(),
-        );
+        println!("full_ticks={}", mc.full_ticks());
     }
     if let Some(path) = std::env::args()
         .collect::<Vec<_>>()

@@ -14,13 +14,14 @@
 //! 5. if nothing else issued and a refresh is pending, force-close an
 //!    open bank.
 //!
-//! Only the banks whose earliest-actionable key has come due in a
-//! timing wheel are enumerated, their legality read off gate lanes that
-//! mirror the device's rule set; the final `issue` call re-validates
-//! everything (including the charge-physics check), so any divergence
-//! between the two is caught immediately. Cycles in which provably
-//! nothing can happen are crossed in bulk. The [`oracle`] module holds
-//! the naive per-cycle reference all of this is tested against.
+//! Only the banks whose earliest-actionable key has come due in the
+//! ready-set key table are enumerated, their legality read off gate
+//! lanes that mirror the device's rule set; the final `issue` call
+//! re-validates everything (including the charge-physics check), so any
+//! divergence between the two is caught immediately. Cycles in which
+//! provably nothing can happen are crossed in bulk. The [`oracle`]
+//! module holds the naive per-cycle reference all of this is tested
+//! against.
 
 use crate::candidate::{Candidate, CandidateKind};
 use crate::pbr::PbrAcquisition;
@@ -179,7 +180,7 @@ pub struct MemoryController<S: TraceSink = NullSink, M: MetricsSink = NullMetric
     /// Incremental ready-set index: one earliest-actionable-cycle key
     /// per `(rank, bank)` pair plus one per-rank refresh marker.
     /// Candidate enumeration visits only due entries and the event
-    /// horizon is an O(1) wheel peek, after acting ticks too. Arrivals
+    /// horizon is the smallest key, after acting ticks too. Arrivals
     /// re-key their bank exactly, and an issue re-keys exactly the
     /// banks whose key class it moved (see `post_tick_rekey`).
     wheel: BankWheel,
@@ -418,19 +419,11 @@ impl<S: TraceSink, M: MetricsSink> MemoryController<S, M> {
         &mut self.metrics
     }
 
-    /// Copies the wheel's current health accounting into the metric
-    /// gauges (overflow length, stale estimate, live entries,
-    /// compaction count). Called at sample boundaries and at
-    /// end-of-run.
+    /// Copies the wheel's live-entry count into its metric gauge.
+    /// Called at sample boundaries and at end-of-run.
     fn refresh_wheel_gauges(&mut self) {
         self.metrics
-            .set_gauge(Counter::WheelOverflowLen, self.wheel.overflow_len() as u64);
-        self.metrics
-            .set_gauge(Counter::WheelStale, self.wheel.stale_estimate() as u64);
-        self.metrics
             .set_gauge(Counter::WheelLive, self.wheel.live_entries() as u64);
-        self.metrics
-            .set_gauge(Counter::WheelCompactions, self.wheel.compactions());
     }
 
     /// Emits the quiet span accumulated so far, if any.
@@ -552,12 +545,6 @@ impl<S: TraceSink, M: MetricsSink> MemoryController<S, M> {
     /// quiet spans (diagnostic, not part of [`ControllerStats`]).
     pub fn full_ticks(&self) -> u64 {
         self.full_ticks
-    }
-
-    /// Slots currently in the wheel's lazy-deletion overflow heap
-    /// (diagnostic: the heap-compaction regression test bounds this).
-    pub fn wheel_overflow_len(&self) -> usize {
-        self.wheel.overflow_len()
     }
 
     /// How many cycles from `now` are provably quiet and could be
@@ -769,22 +756,21 @@ impl<S: TraceSink, M: MetricsSink> MemoryController<S, M> {
         // borrowed. `tick_inner`'s early returns all funnel back here,
         // so the buffers (and their capacity) always come home.
         let mut scratch = std::mem::take(&mut self.scratch);
-        // Promote entries whose key came due and snapshot this tick's
-        // ready set; the wheel emits it in ascending entry order, i.e.
-        // flat bank order (candidate order feeds the policy's
-        // tie-breaks). Taken before the pipeline's early returns so
-        // `post_tick_rekey` always sees the set.
-        self.wheel.advance_to(self.now.raw());
+        // Snapshot this tick's due entries; the wheel emits them in
+        // ascending entry order, i.e. flat bank order (candidate order
+        // feeds the policy's tie-breaks). Taken before the pipeline's
+        // early returns so `post_tick_rekey` always sees the set.
         scratch.ready_banks.clear();
-        self.wheel.collect_ready_into(&mut scratch.ready_banks);
+        self.wheel
+            .collect_due_into(self.now.raw(), &mut scratch.ready_banks);
         scratch.rekeys.clear();
         scratch.enumerated = false;
         let issued = self.tick_inner(&mut scratch, Self::enumerate_candidates_wheel);
         self.observe_tick();
         // Fold this tick's observations back into the wheel — exact
         // keys for every entry the tick touched, conservative lower
-        // bounds for the rest — and the horizon becomes an O(1) peek,
-        // valid after acting ticks too.
+        // bounds for the rest — and the horizon becomes the smallest
+        // key, valid after acting ticks too.
         let t0 = phase_start::<M>();
         self.post_tick_rekey(&mut scratch, issued);
         let t0 = phase_cut(&mut self.metrics, Counter::PhaseRekeyNanos, t0);
@@ -1048,11 +1034,9 @@ impl<S: TraceSink, M: MetricsSink> MemoryController<S, M> {
     }
 
     /// One due bank's candidates: appends them (if any) to
-    /// `out`/`out_slots` and returns the bank's gate-horizon
-    /// contribution — the earliest future cycle a re-enumeration could
-    /// find something new, or `u64::MAX` when the bank is inert until an
-    /// external event (refresh suppression, arrival). The caller reads
-    /// it only when the bank offered nothing.
+    /// `out`/`out_slots`. A bank that offers nothing is re-keyed by the
+    /// caller with `bank_key`, which derives its next chance to act from
+    /// the same gates.
     ///
     /// Legality is read off the mirrored timing gates instead of being
     /// probed per candidate: the gate values *are* the device's own
@@ -1080,9 +1064,8 @@ impl<S: TraceSink, M: MetricsSink> MemoryController<S, M> {
         dedup_cols: bool,
         out: &mut Vec<Candidate>,
         out_slots: &mut Vec<u32>,
-    ) -> u64 {
+    ) {
         let now = self.now;
-        let mut bank_h = u64::MAX;
 
         if open != IDLE_ROW {
             debug_assert_eq!(
@@ -1104,7 +1087,6 @@ impl<S: TraceSink, M: MetricsSink> MemoryController<S, M> {
                         RequestKind::Write => gates.write,
                     };
                     if now < gate {
-                        bank_h = bank_h.min(gate.raw());
                         continue;
                     }
                     for (slot, req) in self.queues.bank_hits_slots(key, kind) {
@@ -1148,11 +1130,9 @@ impl<S: TraceSink, M: MetricsSink> MemoryController<S, M> {
                         }
                     }
                 }
-            } else if now < gates.pre {
+            } else if now >= gates.pre {
                 // Conflict: consider precharging, but never close a row
                 // some queued request still hits.
-                bank_h = gates.pre.raw();
-            } else {
                 let req = *self.queues.bank_head(key).expect("bank_len > 0");
                 let command = DramCommand::Precharge { rank, bank };
                 debug_assert!(
@@ -1169,46 +1149,40 @@ impl<S: TraceSink, M: MetricsSink> MemoryController<S, M> {
                 });
                 out_slots.push(NO_SLOT);
             }
-        } else if !p {
-            // Activation (blocked while refresh pends; a pending bank
-            // contributes no gate either — the refresh horizon covers
-            // it). The representative is the bank's oldest request.
-            if now < gates.act {
-                bank_h = gates.act.raw();
-            } else {
-                let (slot, req) = self
-                    .queues
-                    .bank_requests_slots(key)
-                    .next()
-                    .expect("bank_len > 0");
-                let timings = self.policy.act_timings(view, req);
-                let command = DramCommand::Activate {
-                    rank,
-                    bank,
-                    row: req.addr.row,
-                    timings,
-                };
-                // A non-timing refusal is a broken policy promise; a
-                // too-early one would be a gate soundness bug in the
-                // SoA lanes.
-                #[cfg(debug_assertions)]
-                if let Err(e) = self.device.can_issue(&command, now) {
-                    assert!(e.is_too_early(), "illegal ACT candidate {command}: {e}");
-                    panic!("gate-legal activate refused as too-early: {command}: {e}");
-                }
-                let (pb, zone) = self.pbr.pb_and_zone(lrra, req.addr.row);
-                out.push(Candidate {
-                    request: *req,
-                    command,
-                    kind: CandidateKind::Activate,
-                    pb,
-                    zone,
-                });
-                out_slots.push(slot);
+        } else if !p && now >= gates.act {
+            // Activation (blocked while refresh pends; the refresh
+            // horizon covers a pending bank). The representative is the
+            // bank's oldest request.
+            let (slot, req) = self
+                .queues
+                .bank_requests_slots(key)
+                .next()
+                .expect("bank_len > 0");
+            let timings = self.policy.act_timings(view, req);
+            let command = DramCommand::Activate {
+                rank,
+                bank,
+                row: req.addr.row,
+                timings,
+            };
+            // A non-timing refusal is a broken policy promise; a
+            // too-early one would be a gate soundness bug in the SoA
+            // lanes.
+            #[cfg(debug_assertions)]
+            if let Err(e) = self.device.can_issue(&command, now) {
+                assert!(e.is_too_early(), "illegal ACT candidate {command}: {e}");
+                panic!("gate-legal activate refused as too-early: {command}: {e}");
             }
+            let (pb, zone) = self.pbr.pb_and_zone(lrra, req.addr.row);
+            out.push(Candidate {
+                request: *req,
+                command,
+                kind: CandidateKind::Activate,
+                pb,
+                zone,
+            });
+            out_slots.push(slot);
         }
-
-        bank_h
     }
 
     /// Wheel-driven enumeration: visits only `scratch.ready_banks` —
@@ -1220,9 +1194,9 @@ impl<S: TraceSink, M: MetricsSink> MemoryController<S, M> {
     ///
     /// Each visited bank's verdict is recorded into `scratch.rekeys`
     /// (applied by `post_tick_rekey`; enumeration holds `&self`):
-    /// inert banks get their exact next-gate key, drained banks park.
+    /// inert banks get their exact `bank_key`, drained banks park.
     /// Candidate-producing banks record nothing — their stored key is
-    /// already at-or-before the cursor, so they stay due (which keeps
+    /// already at or before `now`, so they stay due (which keeps
     /// the horizon at `now` until something issues) without a re-key.
     fn enumerate_candidates_wheel(&self, scratch: &mut TickScratch) {
         let TickScratch {
@@ -1283,7 +1257,7 @@ impl<S: TraceSink, M: MetricsSink> MemoryController<S, M> {
             }
             let (rt, lanes) = views.as_ref().unwrap();
             let n_before = out.len();
-            let bank_h = self.enumerate_bank(
+            self.enumerate_bank(
                 &view,
                 key,
                 rank,
@@ -1297,22 +1271,22 @@ impl<S: TraceSink, M: MetricsSink> MemoryController<S, M> {
                 out_slots,
             );
             if out.len() == n_before {
-                // Inert this cycle: the bank's own horizon contribution
-                // is its exact next chance (`u64::MAX` = parked until
-                // an external event re-keys it).
-                rekeys.push((entry, bank_h));
+                // Inert this cycle: its key is its exact next chance
+                // (PARKED until an external event re-keys it).
+                rekeys.push((entry, self.bank_key(key, bi, pending[r], rt, lanes)));
             }
         }
     }
 
     /// Recomputes one bank's earliest-actionable key from the current
-    /// device gates and queue indices — O(1), no request walk. The key
-    /// mirrors `enumerate_bank`'s case analysis exactly: column gates
-    /// joined over the hit kinds present, the precharge gate for a
+    /// device gates and queue indices — O(1), no request walk: column
+    /// gates joined over the hit kinds present, the precharge gate for a
     /// conflict, the activate gate when idle, [`PARKED`] when drained
     /// or refresh-suppressed (the post-`REF` full-rank re-key revives
-    /// suppressed banks). The rank-scoped views are parameters so a
-    /// re-key loop fetches them once per rank instead of once per bank.
+    /// suppressed banks). It reads the gates `enumerate_bank` tests, so
+    /// for a bank that offered nothing it is that bank's exact next
+    /// chance to act. The rank-scoped views are parameters so a re-key
+    /// loop fetches them once per rank instead of once per bank.
     #[inline]
     fn bank_key(
         &self,
@@ -1403,13 +1377,12 @@ impl<S: TraceSink, M: MetricsSink> MemoryController<S, M> {
     /// An acting tick applies the minimal exact re-key set. Device
     /// timing gates are rank-scoped and an issue mutates exactly one
     /// bank's queue state, so the verdicts stay exact for every rank the
-    /// command did not touch — they are re-applied as-is (the wheel's
-    /// due-region fast path makes each ~one store). Within the issued
-    /// rank only the banks whose key class the command actually moved go
-    /// stale: the issued bank itself, plus — for an `ACT` — the
-    /// idle-with-work siblings (the rank act window moved) or — for a
-    /// column command — the open-row hit siblings (the rank column gates
-    /// moved). A precharge is bank-local.
+    /// command did not touch — they are re-applied as-is (one store
+    /// each). Within the issued rank only the banks whose key class the
+    /// command actually moved go stale: the issued bank itself, plus —
+    /// for an `ACT` — the idle-with-work siblings (the rank act window
+    /// moved) or — for a column command — the open-row hit siblings (the
+    /// rank column gates moved). A precharge is bank-local.
     ///
     /// A whole rank re-derives where every bank's key shape can change
     /// at once: a `REF` (tRFC moved every act gate and the cleared
@@ -1423,7 +1396,7 @@ impl<S: TraceSink, M: MetricsSink> MemoryController<S, M> {
     /// bank of a re-derived rank, the stale banks of the issued one — so
     /// it touches no other bank. For the re-applied verdicts a
     /// candidate-producing bank's `now` pin and its gate key are both
-    /// at-or-before the cursor, so the ready set is the same either way.
+    /// at or before `now`, so the bank is due either way.
     /// On acting ticks `WheelRekeys` counts the keys that actually
     /// moved, and the per-key `WheelSlack` histogram is not fed (a
     /// verdict re-application is not a wait the wheel observes).
@@ -1589,8 +1562,8 @@ impl<S: TraceSink, M: MetricsSink> MemoryController<S, M> {
     /// is provably a no-op, because every input to those decisions —
     /// queue contents, bank states, the monotone per-bank/per-rank
     /// timing gates, refresh urgency, CKE state — is constant across the
-    /// span. It is an O(1) peek of the wheel's next occupied slot (bank
-    /// gates and rank refresh markers) merged with the power-management
+    /// span. It is the wheel's smallest key (bank gates and rank refresh
+    /// markers), clamped to `now`, merged with the power-management
     /// deadline, valid after acting ticks too, because
     /// `post_tick_rekey` has already folded the issue's gate movements
     /// back into the keys. Conservative by construction: a due wheel
@@ -1610,12 +1583,12 @@ impl<S: TraceSink, M: MetricsSink> MemoryController<S, M> {
             // Demand wake-up happens on a real tick.
             return now;
         }
-        if self.wheel.has_ready() {
+        let mut h = self.wheel.min_key();
+        if h <= now {
             // A due entry means possible work this very cycle (an
             // un-issued candidate, a refusal pin, a due refresh step).
             return now;
         }
-        let mut h = self.wheel.peek_future();
 
         // Power management: the tick on which an idle-counting rank
         // reaches the power-down threshold acts (sleep or row close) and
@@ -1841,11 +1814,12 @@ impl<S: TraceSink, M: MetricsSink> MemoryController<S, M> {
     }
 
     /// Enumeration-only entry point for the `candidate_wheel`
-    /// micro-bench: re-keys the `dirty` entries to due-now (modelling the post-issue dirtying a real
-    /// tick performs), advances the wheel, and runs one wheel-driven
-    /// enumeration over the resulting ready set, applying the verdict
-    /// re-keys exactly as a real tick would. Returns the candidate
-    /// count so the bench has a value to sink. Not a stable API.
+    /// micro-bench: re-keys the `dirty` entries to due-now (modelling
+    /// the post-issue dirtying a real tick performs), collects the due
+    /// entries, and runs one wheel-driven enumeration over them,
+    /// applying the verdict re-keys exactly as a real tick would.
+    /// Returns the candidate count so the bench has a value to sink. Not
+    /// a stable API.
     #[doc(hidden)]
     pub fn bench_enumerate_candidates_wheel(&mut self, dirty: &[u32]) -> usize {
         let mut scratch = std::mem::take(&mut self.scratch);
@@ -1858,9 +1832,9 @@ impl<S: TraceSink, M: MetricsSink> MemoryController<S, M> {
         for &e in dirty {
             self.wheel.rekey(e, self.now.raw());
         }
-        self.wheel.advance_to(self.now.raw());
         scratch.ready_banks.clear();
-        self.wheel.collect_ready_into(&mut scratch.ready_banks);
+        self.wheel
+            .collect_due_into(self.now.raw(), &mut scratch.ready_banks);
         self.enumerate_candidates_wheel(&mut scratch);
         for (e, k) in scratch.rekeys.drain(..) {
             self.wheel.rekey(e, k);
@@ -2211,7 +2185,6 @@ mod tests {
 
     #[test]
     fn wheel_health_metrics_match_wheel_ground_truth() {
-        use nuat_obs::metrics::TRACKED;
         use nuat_obs::{MetricsRecorder, NullSink};
         let mut mc = MemoryController::with_instrumentation(
             SystemConfig::default(),
@@ -2222,7 +2195,7 @@ mod tests {
         );
         // Refresh-heavy: bursts of work interleaved with long spans
         // crossing many tREFI boundaries, so the wheel churns through
-        // rekeys, refresh keys, parking and (possibly) compactions.
+        // rekeys, refresh keys and parking.
         for round in 0..20u32 {
             for i in 0..12 {
                 mc.enqueue(
@@ -2234,32 +2207,12 @@ mod tests {
             mc.run_for(10_000);
         }
         assert!(mc.stats().refreshes > 0, "run must be refresh-heavy");
-        // Ground truth straight from the wheel's internal accounting;
-        // `into_instrumentation` flushes the final gauges from the same
-        // state, so the recorder must agree exactly.
-        let ovf = mc.wheel.overflow_len() as u64;
-        let stale = mc.wheel.stale_estimate() as u64;
+        // Ground truth straight from the key table; `into_instrumentation`
+        // flushes the final gauge from the same state, so the recorder
+        // must agree exactly.
         let live = mc.wheel.live_entries() as u64;
-        let comps = mc.wheel.compactions();
         let (_sink, rec) = mc.into_instrumentation();
-        assert_eq!(rec.counter(Counter::WheelOverflowLen), ovf);
-        assert_eq!(rec.counter(Counter::WheelStale), stale);
         assert_eq!(rec.counter(Counter::WheelLive), live);
-        assert_eq!(rec.counter(Counter::WheelCompactions), comps);
         assert!(rec.counter(Counter::WheelRekeys) > 0, "wheel never rekeyed");
-        // Every sampled point respects the compaction invariant the
-        // wheel maintains internally: stale overflow entries are
-        // compacted away before they can exceed half the heap.
-        let idx = |c: Counter| TRACKED.iter().position(|&t| t == c).unwrap();
-        let (oi, si) = (idx(Counter::WheelOverflowLen), idx(Counter::WheelStale));
-        assert!(!rec.timeline().is_empty());
-        for &(_, vals) in rec.timeline() {
-            assert!(
-                vals[si] * 2 <= vals[oi].max(1),
-                "sampled stale count {} exceeds half the overflow heap {}",
-                vals[si],
-                vals[oi]
-            );
-        }
     }
 }

@@ -5,7 +5,7 @@
 //! pipeline as `tick` — power management, refresh service, the policy's
 //! choice and its issue, the refresh force-close fallback (all of it
 //! `tick_inner`) — on every cycle, with a flat scan of the queues as its
-//! enumeration step. It never reads the timing wheel or the busy
+//! enumeration step. It never reads the bank wheel or the busy
 //! horizon and never skips a cycle, so a controller driven by it alone
 //! is the plain USIMM-style per-cycle controller loop. The production
 //! path must match it bit for bit: `tests/prop_fast_equals_oracle.rs`,
@@ -13,7 +13,7 @@
 //! compare the two.
 //!
 //! [`debug_check_wheel_keys`](MemoryController::debug_check_wheel_keys)
-//! checks the timing wheel's lower-bound invariant at a live controller
+//! checks the bank wheel's lower-bound invariant at a live controller
 //! state.
 
 use super::*;
@@ -171,7 +171,7 @@ impl<S: TraceSink, M: MetricsSink> MemoryController<S, M> {
         }
     }
 
-    /// Checks the timing wheel's soundness invariant (see
+    /// Checks the bank wheel's soundness invariant (see
     /// `crate::wheel`) at the controller's *current* state: no bank's
     /// stored key is later than the earliest cycle the bank can act —
     /// its `bank_key` derived from the current gates, queues and

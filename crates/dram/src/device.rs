@@ -500,7 +500,7 @@ impl DramDevice {
     /// [`IssueError::TooEarly`] if a timing constraint is pending (the
     /// normal scheduling outcome); other variants for protocol misuse.
     pub fn can_issue(&self, cmd: &DramCommand, now: McCycle) -> Result<(), IssueError> {
-        self.check(cmd, now).map(|_| ())
+        self.check(cmd, now)
     }
 
     /// Issues `cmd` at cycle `now`, updating all device state.
@@ -515,15 +515,15 @@ impl DramDevice {
     /// Same conditions as [`can_issue`](Self::can_issue); on error no
     /// state changes.
     pub fn issue(&mut self, cmd: DramCommand, now: McCycle) -> Result<McCycle, IssueError> {
-        let plan = self.check(&cmd, now)?;
-        Ok(self.apply(cmd, now, plan))
+        self.check(&cmd, now)?;
+        Ok(self.apply(cmd, now))
     }
 
     // ------------------------------------------------------------------
     // legality checking
     // ------------------------------------------------------------------
 
-    fn check(&self, cmd: &DramCommand, now: McCycle) -> Result<IssuePlan, IssueError> {
+    fn check(&self, cmd: &DramCommand, now: McCycle) -> Result<(), IssueError> {
         let t = &self.cfg.timings;
         let g = &self.cfg.geometry;
         let rank = cmd.rank();
@@ -599,7 +599,7 @@ impl DramDevice {
                         elapsed_ns: elapsed,
                     });
                 }
-                Ok(IssuePlan)
+                Ok(())
             }
 
             DramCommand::Read { bank, col, .. } | DramCommand::Write { bank, col, .. } => {
@@ -626,7 +626,7 @@ impl DramDevice {
                     too_early("tCCD/RTW", rs.earliest_col_write, now)?;
                 }
                 // Auto-precharge timing resolved at apply time.
-                Ok(IssuePlan)
+                Ok(())
             }
 
             DramCommand::Precharge { bank, .. } => {
@@ -639,7 +639,7 @@ impl DramDevice {
                     });
                 }
                 too_early("tRAS/tRTP/tWR", rs.banks.earliest_pre[b], now)?;
-                Ok(IssuePlan)
+                Ok(())
             }
 
             DramCommand::Refresh { .. } => {
@@ -662,7 +662,7 @@ impl DramDevice {
                     "ref_ready cache out of sync with per-bank earliest_act"
                 );
                 too_early("tRP/tRFC", rs.ref_ready, now)?;
-                Ok(IssuePlan)
+                Ok(())
             }
         }
     }
@@ -671,7 +671,7 @@ impl DramDevice {
     // state update
     // ------------------------------------------------------------------
 
-    fn apply(&mut self, cmd: DramCommand, now: McCycle, _plan: IssuePlan) -> McCycle {
+    fn apply(&mut self, cmd: DramCommand, now: McCycle) -> McCycle {
         if let Some(log) = &mut self.log {
             log.record(cmd, now);
         }
@@ -800,11 +800,6 @@ impl RankState {
         self.banks.earliest_pre[b] = McCycle::ZERO;
     }
 }
-
-/// Placeholder for pre-computed apply data (kept for future extension;
-/// the check/apply split is what matters).
-#[derive(Debug, Default, Clone, Copy)]
-struct IssuePlan;
 
 fn too_early(constraint: &'static str, earliest: McCycle, now: McCycle) -> Result<(), IssueError> {
     if now < earliest {

@@ -246,24 +246,14 @@ impl<W: Write + Send> TraceSink for ChromeTraceSink<W> {
                 .position(|&t| t == c)
                 .expect("tracked counter")
         };
-        let (ovf, stale, live, slab, act, rd) = (
-            idx(Counter::WheelOverflowLen),
-            idx(Counter::WheelStale),
+        let (live, slab, act, rd) = (
             idx(Counter::WheelLive),
             idx(Counter::SlabHighWater),
             idx(Counter::CmdActivate),
             idx(Counter::CmdRead),
         );
         for &(cycle, vals) in metrics.timeline() {
-            self.counter(
-                "wheel health",
-                cycle,
-                &[
-                    ("overflow", vals[ovf]),
-                    ("stale", vals[stale]),
-                    ("live", vals[live]),
-                ],
-            );
+            self.counter("wheel health", cycle, &[("live", vals[live])]);
             self.counter("slab high-water", cycle, &[("requests", vals[slab])]);
             self.counter(
                 "commands issued",

@@ -37,7 +37,7 @@ pub enum Counter {
     PhaseChooseNanos,
     /// Wall nanoseconds issuing the chosen command.
     PhaseIssueNanos,
-    /// Wall nanoseconds re-keying the bank timing wheel after a tick.
+    /// Wall nanoseconds re-keying the bank wheel after a tick.
     PhaseRekeyNanos,
     /// Wall nanoseconds computing the busy-skip horizon.
     PhaseHorizonNanos,
@@ -68,14 +68,8 @@ pub enum Counter {
     WritesDrained,
     /// Requests accepted into the command queues.
     EnqueuedRequests,
-    /// Timing-wheel rekey operations (dirty-entry rate).
+    /// Bank-wheel re-key operations (dirty-entry rate).
     WheelRekeys,
-    /// Overflow-heap compactions the wheel performed.
-    WheelCompactions,
-    /// Overflow-heap length at the last sample (gauge).
-    WheelOverflowLen,
-    /// Stale overflow-heap entries at the last sample (gauge).
-    WheelStale,
     /// Live (non-parked) wheel entries at the last sample (gauge).
     WheelLive,
     /// Peak request-slab occupancy (reads + writes in flight, gauge).
@@ -85,7 +79,7 @@ pub enum Counter {
 impl Counter {
     /// Every variant, in declaration order; indexes the recorder's
     /// counter array.
-    pub const ALL: [Counter; 25] = [
+    pub const ALL: [Counter; 22] = [
         Counter::PhasePowerNanos,
         Counter::PhaseRefreshNanos,
         Counter::PhaseEnumNanos,
@@ -106,9 +100,6 @@ impl Counter {
         Counter::WritesDrained,
         Counter::EnqueuedRequests,
         Counter::WheelRekeys,
-        Counter::WheelCompactions,
-        Counter::WheelOverflowLen,
-        Counter::WheelStale,
         Counter::WheelLive,
         Counter::SlabHighWater,
     ];
@@ -137,9 +128,6 @@ impl Counter {
             Counter::WritesDrained => "writes_drained_total",
             Counter::EnqueuedRequests => "enqueued_requests_total",
             Counter::WheelRekeys => "wheel_rekeys_total",
-            Counter::WheelCompactions => "wheel_compactions_total",
-            Counter::WheelOverflowLen => "wheel_overflow_len",
-            Counter::WheelStale => "wheel_stale_entries",
             Counter::WheelLive => "wheel_live_entries",
             Counter::SlabHighWater => "slab_high_water",
         }
@@ -153,7 +141,7 @@ impl Counter {
             Counter::PhaseEnumNanos => "Wall nanoseconds enumerating issue candidates",
             Counter::PhaseChooseNanos => "Wall nanoseconds in the scheduling policy",
             Counter::PhaseIssueNanos => "Wall nanoseconds issuing commands",
-            Counter::PhaseRekeyNanos => "Wall nanoseconds re-keying the bank timing wheel",
+            Counter::PhaseRekeyNanos => "Wall nanoseconds re-keying the bank wheel",
             Counter::PhaseHorizonNanos => "Wall nanoseconds computing the busy-skip horizon",
             Counter::PhaseDrainNanos => "Wall nanoseconds draining completions to cores",
             Counter::TickCycles => "Cycles executed as full scheduling ticks",
@@ -167,11 +155,8 @@ impl Counter {
             Counter::ReadsCompleted => "Reads returned to the cores",
             Counter::WritesDrained => "Writes drained to DRAM",
             Counter::EnqueuedRequests => "Requests accepted into the command queues",
-            Counter::WheelRekeys => "Timing-wheel rekey operations",
-            Counter::WheelCompactions => "Overflow-heap compactions performed",
-            Counter::WheelOverflowLen => "Overflow-heap length at last sample",
-            Counter::WheelStale => "Stale overflow-heap entries at last sample",
-            Counter::WheelLive => "Live timing-wheel entries at last sample",
+            Counter::WheelRekeys => "Bank-wheel re-key operations",
+            Counter::WheelLive => "Live bank-wheel entries at last sample",
             Counter::SlabHighWater => "Peak request-slab occupancy",
         }
     }
@@ -180,10 +165,7 @@ impl Counter {
     /// `"gauge"` (takes the maximum across channels).
     pub fn kind(self) -> &'static str {
         match self {
-            Counter::WheelOverflowLen
-            | Counter::WheelStale
-            | Counter::WheelLive
-            | Counter::SlabHighWater => "gauge",
+            Counter::WheelLive | Counter::SlabHighWater => "gauge",
             _ => "counter",
         }
     }
@@ -207,7 +189,7 @@ pub enum Hist {
     BusySkipSpan,
     /// Idle quiet-span lengths (queues empty), cycles.
     IdleSkipSpan,
-    /// Timing-wheel lower-bound slack (new key minus current cycle) at
+    /// Bank-wheel lower-bound slack (new key minus current cycle) at
     /// each rekey.
     WheelSlack,
 }
@@ -329,9 +311,7 @@ impl Histogram {
 
 /// Counters snapshotted into the sampled timeline; the Chrome exporter
 /// turns each into a Perfetto counter track.
-pub const TRACKED: [Counter; 6] = [
-    Counter::WheelOverflowLen,
-    Counter::WheelStale,
+pub const TRACKED: [Counter; 4] = [
     Counter::WheelLive,
     Counter::SlabHighWater,
     Counter::CmdActivate,
@@ -750,11 +730,8 @@ pub fn health_report(recs: &[MetricsRecorder]) -> String {
 
     let _ = writeln!(
         out,
-        "wheel: {} rekeys, {} compactions, overflow {} (stale {}), live {}",
+        "wheel: {} rekeys, live {}",
         agg.counter(Counter::WheelRekeys),
-        agg.counter(Counter::WheelCompactions),
-        agg.counter(Counter::WheelOverflowLen),
-        agg.counter(Counter::WheelStale),
         agg.counter(Counter::WheelLive)
     );
     let slack = agg.hist(Hist::WheelSlack);

@@ -17,8 +17,6 @@ use nuat_core::{MemoryController, RequestKind, SchedulerKind};
 use nuat_cpu::{Core, MemOp, MemoryPort, Trace};
 use nuat_obs::{Counter, MetricsSink, NullMetrics, NullSink, TraceSink};
 use nuat_types::{CpuCycle, McCycle, PhysAddr, SystemConfig, CPU_CYCLES_PER_MC_CYCLE};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 #[doc(hidden)]
 pub mod oracle;
@@ -76,13 +74,12 @@ fn kind_of(op: MemOp) -> RequestKind {
 }
 
 /// The event calendar of [`System::run`]: the CPU cycle at which each
-/// core must next be ticked, ordered by cycle and then core index.
+/// core must next be ticked, taken in order of cycle and then core
+/// index. A system has a handful of cores, so the queries scan `due`.
 #[derive(Debug)]
 struct Calendar {
     /// Core `i`'s next tick, `u64::MAX` for none.
     due: Vec<u64>,
-    /// `(cycle, core)` entries; an entry is live while it matches `due`.
-    heap: BinaryHeap<Reverse<(u64, usize)>>,
     /// Cores whose next record a full queue refused.
     blocked: Vec<usize>,
     /// Whether core `i` has retired its whole trace.
@@ -96,7 +93,6 @@ impl Calendar {
     fn new(cores: usize) -> Self {
         Calendar {
             due: vec![u64::MAX; cores],
-            heap: BinaryHeap::with_capacity(2 * cores),
             blocked: Vec::new(),
             done: vec![false; cores],
             unfinished: cores,
@@ -106,8 +102,7 @@ impl Calendar {
 
     /// Runs core `i` ahead and files its next tick.
     fn schedule(&mut self, i: usize, core: &mut Core) {
-        let at = core.run_ahead().map_or(u64::MAX, CpuCycle::raw);
-        self.set(i, at);
+        self.due[i] = core.run_ahead().map_or(u64::MAX, CpuCycle::raw);
         if core.is_done() && !self.done[i] {
             self.done[i] = true;
             self.unfinished -= 1;
@@ -117,32 +112,25 @@ impl Calendar {
         }
     }
 
-    fn set(&mut self, i: usize, at: u64) {
-        if self.due[i] != at {
-            self.due[i] = at;
-            if at != u64::MAX {
-                self.heap.push(Reverse((at, i)));
-            }
-        }
-    }
-
     /// The earliest filed tick, `u64::MAX` for none.
-    fn next(&mut self) -> u64 {
-        while let Some(&Reverse((at, i))) = self.heap.peek() {
-            if self.due[i] == at {
-                return at;
-            }
-            self.heap.pop();
-        }
-        u64::MAX
+    fn next(&self) -> u64 {
+        self.due.iter().copied().min().unwrap_or(u64::MAX)
     }
 
-    /// Takes the earliest filed tick if it falls before CPU cycle `end`.
+    /// Takes the earliest filed tick if it falls before CPU cycle `end`;
+    /// of equal ticks, the lowest core index's.
     fn pop_before(&mut self, end: u64) -> Option<(u64, usize)> {
-        if self.next() >= end {
+        let (i, at) = self
+            .due
+            .iter()
+            .copied()
+            .enumerate()
+            .min_by_key(|&(i, at)| (at, i))?;
+        if at >= end {
             return None;
         }
-        self.heap.pop().map(|Reverse(entry)| entry)
+        self.due[i] = u64::MAX;
+        Some((at, i))
     }
 }
 
@@ -520,7 +508,7 @@ impl<S: TraceSink, M: MetricsSink> System<S, M> {
                 let ch = channel_of(&self.cfg, self.mcs.len(), addr);
                 let room = self.mcs[ch].can_accept(kind_of(op));
                 if room {
-                    cal.set(i, end);
+                    cal.due[i] = end;
                 }
                 !room
             });
@@ -642,6 +630,34 @@ mod tests {
         assert!(r.completed);
         assert_eq!(r.core_finish_cpu_cycles.len(), 2);
         assert!(r.stats.per_core_reads.iter().all(|&c| c > 0));
+    }
+
+    #[test]
+    fn calendar_ties_go_to_lowest_core() {
+        // The per-cycle loop ticks cores in index order, so of equal
+        // ticks the lowest core's comes first.
+        let mut cal = Calendar::new(4);
+        cal.due = vec![9, 5, u64::MAX, 5];
+        assert_eq!(cal.next(), 5);
+        assert_eq!(cal.pop_before(6), Some((5, 1)));
+        assert_eq!(cal.pop_before(6), Some((5, 3)));
+        assert_eq!(cal.pop_before(6), None);
+        assert_eq!(cal.next(), 9);
+    }
+
+    #[test]
+    fn calendar_pop_before_takes_only_ticks_before_end() {
+        let mut cal = Calendar::new(3);
+        assert_eq!(cal.next(), u64::MAX);
+        assert_eq!(cal.pop_before(u64::MAX), None);
+        cal.due = vec![40, u64::MAX, 12];
+        // `end` is exclusive.
+        assert_eq!(cal.pop_before(12), None);
+        assert_eq!(cal.pop_before(13), Some((12, 2)));
+        assert_eq!(cal.next(), 40);
+        assert_eq!(cal.pop_before(41), Some((40, 0)));
+        assert_eq!(cal.next(), u64::MAX);
+        assert_eq!(cal.pop_before(u64::MAX), None);
     }
 
     #[test]

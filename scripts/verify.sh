@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
 # Full verification gate: formatting, release build, test suite (debug
-# and release), the benchmark smoke run, lint-clean clippy across every
-# target, the API docs built with warnings denied, a compile check of the
-# bench code (which `cargo test` does not build, so it could otherwise
-# rot silently), and a smoke run of the instrumentation stack
-# (trace_study self-checks its artifacts against end-of-run stats).
+# and release), the benchmark smoke run and self-tests, lint-clean
+# clippy across every target, the API docs built with warnings denied, a
+# compile check of the bench code (which `cargo test` does not build, so
+# it could otherwise rot silently), and a smoke run of the
+# instrumentation stack (trace_study self-checks its artifacts against
+# end-of-run stats).
 # CI and pre-commit both run exactly this.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -18,6 +19,12 @@ cargo test --release -q
 # Benchmark smoke: every workload end-to-end and traced at 1/50 scale
 # (exact replay, digest repeatability, campaign output determinism).
 bash benchmark/smoke.sh
+# The benchmark's own tests: exact replay of the comm3, four-core and
+# saturated runs, the copied saturated loop against
+# `nuat_bench::saturated_run`, and the metric tables against
+# BENCHMARK.json. Builds into target/benchmark, which the smoke run has
+# just filled.
+(cd benchmark && cargo test --release -q)
 cargo clippy --workspace --all-targets -- -D warnings
 # API docs with warnings denied: a broken or private intra-doc link
 # (say, to a deleted item) fails here.

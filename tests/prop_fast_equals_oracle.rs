@@ -1,7 +1,7 @@
 //! The production fast path against the naive per-cycle oracle.
 //!
 //! `System::run_traced` — the event calendar with cores running ahead,
-//! busy-period skipping and the bank timing wheel — must reproduce
+//! busy-period skipping and the bank wheel — must reproduce
 //! `System::run_reference` bit for bit. The reference ticks every core
 //! every CPU cycle and runs every channel controller's full pipeline
 //! every memory cycle, enumerating by a flat queue scan
@@ -27,7 +27,7 @@
 //! past two.
 //!
 //! `prop_wheel_keys_bound_bank_keys` checks a different oracle: the
-//! timing wheel's lower-bound invariant — no bank's stored key later
+//! bank wheel's lower-bound invariant — no bank's stored key later
 //! than the `bank_key` derived from its current gates — at live
 //! controller states.
 //!
@@ -415,7 +415,7 @@ proptest! {
         assert_shape(shape, &[WORKLOADS[w0], WORKLOADS[w1]], mem_ops);
     }
 
-    /// Live-state check of the timing wheel: replay a workload into a
+    /// Live-state check of the bank wheel: replay a workload into a
     /// bare controller of a random geometry and, every `stride` cycles,
     /// check that no bank's stored wheel key is later than the
     /// `bank_key` derived from the controller's current gates, queues
