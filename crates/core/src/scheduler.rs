@@ -40,9 +40,11 @@ pub struct PolicyView<'a> {
 
 /// A memory-scheduling policy. See the module docs.
 ///
-/// `Send` is a supertrait so a controller (which owns its policy boxed)
-/// can migrate to a channel-sharding worker thread between CPU sync
-/// points; policies hold only plain per-channel state.
+/// `Send` is a supertrait so a controller, which owns its policy boxed,
+/// stays `Send`, and with it a whole simulation: one can be built on one
+/// thread and run on another. `parallel_map` runs whole simulations on
+/// its workers; nothing splits one simulation across threads. Policies
+/// hold only plain per-channel state.
 pub trait SchedulerPolicy: fmt::Debug + Send {
     /// Short policy name for reports (e.g. `"NUAT"`).
     fn name(&self) -> &'static str;

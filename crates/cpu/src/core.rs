@@ -28,8 +28,13 @@
 //! groups that complete on consecutive cycles, so a steady-state span
 //! (ROB full, `retire_width` instructions retiring and as many fetched
 //! each cycle) is one O(1) append plus the retirement of whole runs.
+//!
+//! A core reads its trace from a [`TraceSource`], one record ahead of
+//! fetch: the record whose gap it is fetching and whose operation it
+//! offers next. It holds no other record, so a trace generated on
+//! demand costs the same memory at any length.
 
-use crate::trace::{MemOp, Trace};
+use crate::trace::{MemOp, TraceRecord, TraceSource};
 use nuat_types::{CpuCycle, PhysAddr, ProcessorConfig};
 use std::collections::{HashMap, VecDeque};
 use std::hash::{BuildHasherDefault, Hasher};
@@ -97,14 +102,15 @@ impl Hasher for TokenHasher {
 pub struct Core {
     id: usize,
     cfg: ProcessorConfig,
-    trace: Trace,
-    next_record: usize,
+    /// The records after `next`.
+    source: Box<dyn TraceSource>,
+    /// The record fetch works towards: its gap, then its operation.
+    /// `None` once the source is exhausted and only the tail gap is left.
+    next: Option<TraceRecord>,
     /// Non-memory instructions still to fetch before the next record's
     /// memory operation (or before the end, for the tail gap).
     gap_remaining: u32,
-    fetched: u64,
     retired: u64,
-    total: u64,
     rob: VecDeque<Run>,
     /// Instructions in the ROB.
     rob_len: u64,
@@ -124,23 +130,21 @@ pub struct Core {
 }
 
 impl Core {
-    /// Creates a core that will execute `trace` under `cfg`.
-    pub fn new(id: usize, cfg: ProcessorConfig, trace: Trace) -> Self {
-        let gap_remaining = trace
-            .records()
-            .first()
-            .map(|r| r.gap)
-            .unwrap_or_else(|| trace.tail_gap());
-        let total = trace.total_instructions();
-        Core {
+    /// Creates a core that will execute `trace` under `cfg`: a
+    /// materialized `Trace` or any other [`TraceSource`], read one record
+    /// at a time as fetch reaches it.
+    pub fn new<T>(id: usize, cfg: ProcessorConfig, trace: T) -> Self
+    where
+        T: IntoIterator,
+        T::IntoIter: TraceSource + 'static,
+    {
+        let mut core = Core {
             id,
             cfg,
-            trace,
-            next_record: 0,
-            gap_remaining,
-            fetched: 0,
+            source: Box::new(trace.into_iter()),
+            next: None,
+            gap_remaining: 0,
             retired: 0,
-            total,
             rob: VecDeque::new(),
             rob_len: 0,
             rob_head: 0,
@@ -149,7 +153,19 @@ impl Core {
             queue_blocked: false,
             finished_at: None,
             stall_cycles: 0,
-        }
+        };
+        core.pull();
+        core
+    }
+
+    /// Takes the next record from the source, and with it the gap fetch
+    /// must cross before its operation (the tail gap after the last).
+    fn pull(&mut self) {
+        self.next = self.source.next();
+        self.gap_remaining = match self.next {
+            Some(r) => r.gap,
+            None => self.source.tail_gap(),
+        };
     }
 
     /// This core's index.
@@ -162,14 +178,9 @@ impl Core {
         self.retired
     }
 
-    /// Total instructions in the trace.
-    pub fn total_instructions(&self) -> u64 {
-        self.total
-    }
-
     /// True once every instruction has retired.
     pub fn is_done(&self) -> bool {
-        self.retired == self.total
+        self.next.is_none() && self.gap_remaining == 0 && self.rob_len == 0
     }
 
     /// CPU cycle the last instruction retired, if finished.
@@ -196,10 +207,7 @@ impl Core {
         if !self.queue_blocked {
             return None;
         }
-        self.trace
-            .records()
-            .get(self.next_record)
-            .map(|r| (r.op, r.addr))
+        self.next.map(|r| (r.op, r.addr))
     }
 
     /// Delivers read data for `token` (from [`MemoryPort::submit`]); the
@@ -272,7 +280,7 @@ impl Core {
         // the ROB has room for the gap before it.
         let gap = u64::from(self.gap_remaining);
         let room = self.cfg.rob_size as u64 - self.rob_len + ready;
-        (self.next_record < self.trace.records().len() && gap < room)
+        (self.next.is_some() && gap < room)
             .then(|| CpuCycle::new(self.clock + gap / self.cfg.fetch_width as u64))
     }
 
@@ -376,17 +384,16 @@ impl Core {
         let cap = self.cfg.rob_size as u64;
         let mut group = 0u32;
         for _ in 0..self.cfg.fetch_width {
-            if self.fetched == self.total || self.rob_len + u64::from(group) == cap {
+            if self.rob_len + u64::from(group) == cap {
                 break;
             }
             if self.gap_remaining > 0 {
                 self.gap_remaining -= 1;
                 group += 1;
-                self.fetched += 1;
                 continue;
             }
-            let Some(rec) = self.trace.records().get(self.next_record).copied() else {
-                // Only the tail gap remains and it is exhausted.
+            let Some(rec) = self.next else {
+                // Only the tail gap remained and it is exhausted.
                 break;
             };
             let Some(token) = submit(rec.op, rec.addr) else {
@@ -411,14 +418,7 @@ impl Core {
                 }
                 MemOp::Write => group += 1,
             }
-            self.fetched += 1;
-            self.next_record += 1;
-            self.gap_remaining = self
-                .trace
-                .records()
-                .get(self.next_record)
-                .map(|r| r.gap)
-                .unwrap_or_else(|| self.trace.tail_gap());
+            self.pull();
         }
         if group > 0 {
             self.push(at, group, 1);
@@ -435,7 +435,7 @@ impl Core {
     /// reaches the next record with ROB room to take it, i.e. probes the
     /// port.
     fn probes(&self, ready: u64) -> bool {
-        if self.queue_blocked || self.next_record == self.trace.records().len() {
+        if self.queue_blocked || self.next.is_none() {
             return false;
         }
         let gap = u64::from(self.gap_remaining);
@@ -483,8 +483,7 @@ impl Core {
         let gap = u64::from(self.gap_remaining);
         // Fetch can take nothing: all fetched, or the next record is
         // held back by a full queue.
-        let fetch_idle =
-            gap == 0 && (self.next_record == self.trace.records().len() || self.queue_blocked);
+        let fetch_idle = gap == 0 && (self.next.is_none() || self.queue_blocked);
         // Cycles before the head can retire.
         let head_wait = match self.rob.front() {
             // An instruction fetched now retires `depth` cycles later,
@@ -503,7 +502,6 @@ impl Core {
                 }
                 k = k.min(room / f).min(gap / f);
                 self.push(c + depth, f as u32, k);
-                self.fetched += k * f;
                 self.gap_remaining -= (k * f) as u32;
             }
             self.stall_cycles += k;
@@ -553,7 +551,6 @@ impl Core {
         }
         if refill {
             self.push(c + depth, r as u32, k);
-            self.fetched += k * r;
             self.gap_remaining -= (k * r) as u32;
         }
         self.pop(k * r);
@@ -566,7 +563,7 @@ impl Core {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::TraceRecord;
+    use crate::trace::Trace;
 
     /// A memory port that completes reads after a fixed delay.
     #[derive(Debug, Default)]

@@ -36,5 +36,5 @@ pub mod trace;
 pub mod trace_io;
 
 pub use crate::core::{Core, MemoryPort};
-pub use trace::{MemOp, Trace, TraceRecord};
+pub use trace::{MemOp, Trace, TraceRecord, TraceSource};
 pub use trace_io::{read_usimm, write_usimm, ParseTraceError};

@@ -1,5 +1,11 @@
 //! Instruction traces in the USIMM style: a stream of memory operations,
 //! each preceded by a count of non-memory instructions.
+//!
+//! A core reads its trace once, front to back, through a
+//! [`TraceSource`]. A materialized [`Trace`] is one source (through its
+//! [`IntoIterator`] impl); a generator that makes each record when the
+//! core asks for it is another, and holds no record the core has not
+//! reached.
 
 use nuat_types::PhysAddr;
 use serde::{Deserialize, Serialize};
@@ -35,7 +41,19 @@ pub struct TraceRecord {
     pub addr: PhysAddr,
 }
 
-/// A complete per-core instruction trace.
+/// The records of a per-core trace, read once in program order, then
+/// the non-memory instructions after the last one.
+///
+/// `Core` keeps one record of lookahead and never revisits a record, so
+/// a source may make its records on demand.
+pub trait TraceSource: Iterator<Item = TraceRecord> + fmt::Debug + Send {
+    /// Non-memory instructions after the last memory operation.
+    fn tail_gap(&self) -> u32;
+}
+
+/// A complete per-core instruction trace, held in memory: what a trace
+/// file, a test or an analysis works with. A core reads it through
+/// [`IntoIterator`], the same way as a trace generated on demand.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Trace {
     records: Vec<TraceRecord>,
@@ -47,6 +65,12 @@ impl Trace {
     /// Builds a trace from records plus a trailing non-memory gap.
     pub fn new(records: Vec<TraceRecord>, tail_gap: u32) -> Self {
         Trace { records, tail_gap }
+    }
+
+    /// Drains `source` into memory.
+    pub fn from_source(mut source: impl TraceSource) -> Self {
+        let records = source.by_ref().collect();
+        Trace::new(records, source.tail_gap())
     }
 
     /// The records in program order.
@@ -82,6 +106,43 @@ impl Trace {
         } else {
             self.mem_ops() as f64 * 1000.0 / total as f64
         }
+    }
+}
+
+impl IntoIterator for Trace {
+    type Item = TraceRecord;
+    type IntoIter = IntoIter;
+
+    fn into_iter(self) -> IntoIter {
+        IntoIter {
+            records: self.records.into_iter(),
+            tail_gap: self.tail_gap,
+        }
+    }
+}
+
+/// A [`Trace`] as a [`TraceSource`].
+#[derive(Debug, Clone)]
+pub struct IntoIter {
+    records: std::vec::IntoIter<TraceRecord>,
+    tail_gap: u32,
+}
+
+impl Iterator for IntoIter {
+    type Item = TraceRecord;
+
+    fn next(&mut self) -> Option<TraceRecord> {
+        self.records.next()
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.records.size_hint()
+    }
+}
+
+impl TraceSource for IntoIter {
+    fn tail_gap(&self) -> u32 {
+        self.tail_gap
     }
 }
 
@@ -125,5 +186,11 @@ mod tests {
         let t = trace();
         assert!((t.mpki() - 3.0 * 1000.0 / 21.0).abs() < 1e-9);
         assert_eq!(Trace::new(vec![], 0).mpki(), 0.0);
+    }
+
+    #[test]
+    fn a_trace_drained_as_a_source_is_itself() {
+        let t = trace();
+        assert_eq!(Trace::from_source(t.clone().into_iter()), t);
     }
 }

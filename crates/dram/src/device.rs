@@ -234,9 +234,6 @@ pub struct DramDevice {
     ranks: Vec<RankState>,
     stats: DeviceStats,
     energy_model: EnergyModel,
-    /// Grace subtracted from the elapsed time in physical checks,
-    /// absorbing bounded refresh-issue jitter (data-sheet guard band).
-    physical_grace_ns: f64,
     /// Optional command logging (see [`crate::CommandLog`]).
     log: Option<crate::CommandLog>,
 }
@@ -291,8 +288,6 @@ impl DramDevice {
             ranks,
             stats: DeviceStats::default(),
             energy_model: EnergyModel::default(),
-            // One refresh batch interval of guard band (~62 us).
-            physical_grace_ns: cfg.timings.refresh_batch_interval() as f64 * MC_CYCLE_NS,
             log: None,
         }
     }
@@ -361,10 +356,10 @@ impl DramDevice {
     }
 
     /// Enables refresh postponement on every rank (DDR3 allows deferring
-    /// up to 8 REF commands). The physical validator's grace window is
-    /// deliberately *not* widened: safety under postponement must come
-    /// from derating the controller's PBR block by the same budget — a
-    /// controller that postpones without derating gets caught.
+    /// up to 8 REF commands). The physical validator allows no grace for
+    /// it: safety under postponement must come from derating the
+    /// controller's PBR block by the same budget — a controller that
+    /// postpones without derating gets caught.
     pub fn set_refresh_postpone_budget(&mut self, batches: u64) {
         for rs in &mut self.ranks {
             rs.refresh.set_postpone_budget(batches);
@@ -582,20 +577,19 @@ impl DramDevice {
                 }
                 // ... and must respect the row's charge state.
                 let elapsed = self.elapsed_since_restore_ns(rank, bank, row, now).max(0.0);
-                let graced = (elapsed - self.physical_grace_ns).max(0.0);
-                if !self.physical.trcd_ok(graced, timings.trcd) {
+                if !self.physical.trcd_ok(elapsed, timings.trcd) {
                     return Err(IssueError::PhysicalViolation {
                         parameter: "tRCD",
                         proposed_cycles: timings.trcd,
-                        minimum_ns: self.physical.min_trcd_ns(graced),
+                        minimum_ns: self.physical.min_trcd_ns(elapsed),
                         elapsed_ns: elapsed,
                     });
                 }
-                if !self.physical.tras_ok(graced, timings.tras) {
+                if !self.physical.tras_ok(elapsed, timings.tras) {
                     return Err(IssueError::PhysicalViolation {
                         parameter: "tRAS",
                         proposed_cycles: timings.tras,
-                        minimum_ns: self.physical.min_tras_ns(graced),
+                        minimum_ns: self.physical.min_tras_ns(elapsed),
                         elapsed_ns: elapsed,
                     });
                 }

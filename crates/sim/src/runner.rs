@@ -3,9 +3,8 @@
 use crate::system::{SimResult, System};
 use nuat_circuit::PbGrouping;
 use nuat_core::SchedulerKind;
-use nuat_cpu::Trace;
 use nuat_types::SystemConfig;
-use nuat_workloads::{TraceGenerator, WorkloadSpec};
+use nuat_workloads::{GeneratedTrace, TraceGenerator, WorkloadSpec};
 
 /// Knobs common to every experiment run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -44,8 +43,15 @@ impl RunConfig {
     }
 }
 
-/// Generates one trace per core from the given specs.
-pub fn traces_for(specs: &[WorkloadSpec], cfg: &SystemConfig, rc: &RunConfig) -> Vec<Trace> {
+/// One trace per core from the given specs, each generated on demand as
+/// its core fetches it: nothing is generated here, and a run holds no
+/// more than one record per core at any trace length.
+/// [`nuat_cpu::Trace::from_source`] collects one into memory.
+pub fn traces_for(
+    specs: &[WorkloadSpec],
+    cfg: &SystemConfig,
+    rc: &RunConfig,
+) -> Vec<GeneratedTrace> {
     specs
         .iter()
         .enumerate()
@@ -55,7 +61,7 @@ pub fn traces_for(specs: &[WorkloadSpec], cfg: &SystemConfig, rc: &RunConfig) ->
                 cfg.dram.geometry,
                 rc.seed.wrapping_add(core as u64 * 7919),
             )
-            .generate(rc.mem_ops_per_core)
+            .stream(rc.mem_ops_per_core)
         })
         .collect()
 }
@@ -144,6 +150,7 @@ pub fn run_mix_instrumented<S: nuat_obs::TraceSink, M: nuat_obs::MetricsSink>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nuat_cpu::Trace;
     use nuat_workloads::by_name;
 
     #[test]
@@ -167,7 +174,10 @@ mod tests {
         };
         let spec = by_name("black").unwrap();
         let cfg = SystemConfig::with_cores(2);
-        let traces = traces_for(&[spec, spec], &cfg, &rc);
+        let traces: Vec<Trace> = traces_for(&[spec, spec], &cfg, &rc)
+            .into_iter()
+            .map(Trace::from_source)
+            .collect();
         assert_ne!(
             traces[0], traces[1],
             "same workload on two cores must not be identical"

@@ -14,7 +14,7 @@
 
 use nuat_circuit::PbGrouping;
 use nuat_core::{MemoryController, RequestKind, SchedulerKind};
-use nuat_cpu::{Core, MemOp, MemoryPort, Trace};
+use nuat_cpu::{Core, MemOp, MemoryPort, TraceSource};
 use nuat_obs::{Counter, MetricsSink, NullMetrics, NullSink, TraceSink};
 use nuat_types::{CpuCycle, McCycle, PhysAddr, SystemConfig, CPU_CYCLES_PER_MC_CYCLE};
 
@@ -135,7 +135,7 @@ impl Calendar {
 }
 
 /// Outcome of one simulation.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimResult {
     /// Scheduler display name.
     pub scheduler: &'static str,
@@ -191,16 +191,25 @@ impl System {
     /// Builds a system running one trace per core. One controller is
     /// instantiated per configured channel (Table 3 uses one).
     ///
+    /// A trace is a materialized `nuat_cpu::Trace` or any other
+    /// [`TraceSource`], such as the generated traces of
+    /// [`traces_for`](crate::traces_for); each core reads its own as it
+    /// fetches.
+    ///
     /// # Panics
     ///
     /// Panics if the trace count differs from `cfg.processor.cores` or
     /// the configuration is invalid.
-    pub fn new(
+    pub fn new<T>(
         cfg: SystemConfig,
         scheduler: SchedulerKind,
         grouping: PbGrouping,
-        traces: Vec<Trace>,
-    ) -> Self {
+        traces: Vec<T>,
+    ) -> Self
+    where
+        T: IntoIterator,
+        T::IntoIter: TraceSource + 'static,
+    {
         let channels = cfg.dram.geometry.channels as usize;
         Self::with_sinks(
             cfg,
@@ -224,14 +233,18 @@ impl<S: TraceSink> System<S> {
     /// Panics if the trace count differs from `cfg.processor.cores`, the
     /// sink count differs from the channel count, or the configuration
     /// is invalid.
-    pub fn with_sinks(
+    pub fn with_sinks<T>(
         cfg: SystemConfig,
         scheduler: SchedulerKind,
         grouping: PbGrouping,
-        traces: Vec<Trace>,
+        traces: Vec<T>,
         sinks: Vec<S>,
         sample_interval: Option<u64>,
-    ) -> Self {
+    ) -> Self
+    where
+        T: IntoIterator,
+        T::IntoIter: TraceSource + 'static,
+    {
         let channels = sinks.len();
         System::with_instrumentation(
             cfg,
@@ -258,15 +271,19 @@ impl<S: TraceSink, M: MetricsSink> System<S, M> {
     /// Panics if the trace count differs from `cfg.processor.cores`, the
     /// sink or metrics count differs from the channel count, or the
     /// configuration is invalid.
-    pub fn with_instrumentation(
+    pub fn with_instrumentation<T>(
         cfg: SystemConfig,
         scheduler: SchedulerKind,
         grouping: PbGrouping,
-        traces: Vec<Trace>,
+        traces: Vec<T>,
         sinks: Vec<S>,
         metrics: Vec<M>,
         sample_interval: Option<u64>,
-    ) -> Self {
+    ) -> Self
+    where
+        T: IntoIterator,
+        T::IntoIter: TraceSource + 'static,
+    {
         assert_eq!(
             traces.len(),
             cfg.processor.cores,
@@ -667,7 +684,7 @@ mod tests {
             SystemConfig::with_cores(2),
             SchedulerKind::Nuat,
             PbGrouping::paper(5),
-            vec![],
+            Vec::<nuat_cpu::Trace>::new(),
         );
     }
 }

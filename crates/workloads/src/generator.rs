@@ -12,9 +12,15 @@
 //! alternates between a high- and a low-locality phase every
 //! `PHASE_LEN` accesses, which produces the large open-vs-close
 //! hit-rate gap and the PHRC tracking lag the paper analyzes.
+//!
+//! A generator is an endless stream of records. [`TraceGenerator::stream`]
+//! cuts it to a [`GeneratedTrace`] that a core reads as it fetches,
+//! so memory does not grow with trace length;
+//! [`TraceGenerator::generate`] collects the same records into a
+//! [`Trace`].
 
 use crate::spec::WorkloadSpec;
-use nuat_cpu::{MemOp, Trace, TraceRecord};
+use nuat_cpu::{MemOp, Trace, TraceRecord, TraceSource};
 use nuat_types::{AddressMapping, Bank, Channel, Col, DecodedAddr, DramGeometry, Rank, Row};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -32,8 +38,10 @@ struct Stream {
     col: u32,
 }
 
-/// Deterministic trace generator. Identical `(spec, seed, len)` inputs
-/// produce identical traces.
+/// Deterministic trace generator: an endless [`Iterator`] of records.
+/// Identical `(spec, seed)` inputs produce identical record streams, so
+/// the first `n` records of a [`stream`](Self::stream) equal those of
+/// [`generate(n)`](Self::generate).
 ///
 /// # Examples
 ///
@@ -45,14 +53,23 @@ struct Stream {
 /// let trace = TraceGenerator::new(spec, DramGeometry::default(), 7).generate(500);
 /// assert_eq!(trace.mem_ops(), 500);
 /// assert!((trace.mpki() - spec.mpki).abs() / spec.mpki < 0.3);
+///
+/// let lazy = TraceGenerator::new(spec, DramGeometry::default(), 7).stream(500);
+/// assert_eq!(lazy.mem_ops(), 500);
+/// assert!(lazy.eq(trace.records().iter().copied()));
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct TraceGenerator {
     spec: WorkloadSpec,
     geometry: DramGeometry,
     rng: StdRng,
     streams: Vec<Stream>,
     generated: usize,
+    /// Compute gap of a burst's first access beyond `gap_in_burst`.
+    long_gap: u32,
+    /// Accesses left in the current burst; `burst_len` when the next
+    /// access starts a burst.
+    in_burst_left: usize,
 }
 
 impl TraceGenerator {
@@ -64,7 +81,6 @@ impl TraceGenerator {
     pub fn new(spec: WorkloadSpec, geometry: DramGeometry, seed: u64) -> Self {
         geometry.validate().expect("invalid geometry");
         let mut rng = StdRng::seed_from_u64(seed ^ hash_name(spec.name));
-        let banks = (geometry.banks_per_rank * geometry.ranks_per_channel) as u32;
         let rows = geometry.rows_per_bank as u32;
         let streams = (0..spec.streams)
             .map(|i| {
@@ -85,49 +101,42 @@ impl TraceGenerator {
                 }
             })
             .collect();
-        let _ = banks;
+        let burst_len = spec.burst_len.max(1) as usize;
+        // The long gap between bursts restores the target mean:
+        // burst_len accesses at gap_in_burst + one long gap.
+        let in_burst = spec.gap_in_burst as f64;
+        let long_gap = ((spec.mean_gap() - in_burst) * burst_len as f64)
+            .max(0.0)
+            .round() as u32;
         TraceGenerator {
             spec,
             geometry,
             rng,
             streams,
             generated: 0,
+            long_gap,
+            in_burst_left: burst_len,
         }
     }
 
-    /// Generates a trace containing `mem_ops` memory operations.
+    /// Collects the next `mem_ops` records into a trace. Successive calls
+    /// continue the same stream.
     pub fn generate(&mut self, mem_ops: usize) -> Trace {
-        let mut records = Vec::with_capacity(mem_ops);
-        let mean_gap = self.spec.mean_gap();
-        let burst_len = self.spec.burst_len.max(1) as usize;
-        // The long gap between bursts restores the target mean:
-        // burst_len accesses at gap_in_burst + one long gap.
-        let in_burst = self.spec.gap_in_burst as f64;
-        let long_gap = ((mean_gap - in_burst) * burst_len as f64).max(0.0).round() as u32;
+        Trace::new(
+            self.by_ref().take(mem_ops).collect(),
+            self.spec.gap_in_burst,
+        )
+    }
 
-        let mut in_burst_left = burst_len;
-        for _ in 0..mem_ops {
-            let gap = if in_burst_left == burst_len {
-                // First access of a burst carries the long compute gap.
-                long_gap + self.spec.gap_in_burst
-            } else {
-                self.spec.gap_in_burst
-            };
-            in_burst_left -= 1;
-            if in_burst_left == 0 {
-                in_burst_left = burst_len;
-            }
-
-            let op = if self.rng.gen_bool(self.spec.read_fraction) {
-                MemOp::Read
-            } else {
-                MemOp::Write
-            };
-            let addr = self.next_address();
-            records.push(TraceRecord { gap, op, addr });
-            self.generated += 1;
+    /// The next `mem_ops` records as a trace a core reads on demand: the
+    /// records [`generate(mem_ops)`](Self::generate) would collect, made
+    /// one at a time as fetch reaches them.
+    pub fn stream(self, mem_ops: usize) -> GeneratedTrace {
+        GeneratedTrace {
+            generator: self,
+            mem_ops: mem_ops as u64,
+            left: mem_ops,
         }
-        Trace::new(records, self.spec.gap_in_burst)
     }
 
     fn locality(&self) -> f64 {
@@ -170,6 +179,77 @@ impl TraceGenerator {
         self.geometry
             .encode(decoded, AddressMapping::OpenPageBaseline)
             .expect("stream coordinates are in range")
+    }
+}
+
+impl Iterator for TraceGenerator {
+    type Item = TraceRecord;
+
+    fn next(&mut self) -> Option<TraceRecord> {
+        let burst_len = self.spec.burst_len.max(1) as usize;
+        let gap = if self.in_burst_left == burst_len {
+            // First access of a burst carries the long compute gap.
+            self.long_gap + self.spec.gap_in_burst
+        } else {
+            self.spec.gap_in_burst
+        };
+        self.in_burst_left -= 1;
+        if self.in_burst_left == 0 {
+            self.in_burst_left = burst_len;
+        }
+
+        let op = if self.rng.gen_bool(self.spec.read_fraction) {
+            MemOp::Read
+        } else {
+            MemOp::Write
+        };
+        let addr = self.next_address();
+        self.generated += 1;
+        Some(TraceRecord { gap, op, addr })
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (usize::MAX, None)
+    }
+}
+
+/// A generated trace of fixed length that makes each record when a core
+/// fetches it ([`TraceGenerator::stream`]). It holds the generator's
+/// state, not the records, so its size does not depend on its length.
+/// Cloning it before it is read gives a second copy of the same trace.
+#[derive(Debug, Clone)]
+pub struct GeneratedTrace {
+    generator: TraceGenerator,
+    mem_ops: u64,
+    left: usize,
+}
+
+impl GeneratedTrace {
+    /// Memory operations in the whole trace.
+    pub fn mem_ops(&self) -> u64 {
+        self.mem_ops
+    }
+}
+
+impl Iterator for GeneratedTrace {
+    type Item = TraceRecord;
+
+    fn next(&mut self) -> Option<TraceRecord> {
+        if self.left == 0 {
+            return None;
+        }
+        self.left -= 1;
+        self.generator.next()
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.left, Some(self.left))
+    }
+}
+
+impl TraceSource for GeneratedTrace {
+    fn tail_gap(&self) -> u32 {
+        self.generator.spec.gap_in_burst
     }
 }
 

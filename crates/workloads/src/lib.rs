@@ -26,6 +26,6 @@ pub mod mixes;
 pub mod spec;
 
 pub use analysis::TraceProfile;
-pub use generator::TraceGenerator;
+pub use generator::{GeneratedTrace, TraceGenerator};
 pub use mixes::{paper_four_core_mixes, paper_two_core_mixes, random_mixes, WorkloadMix};
 pub use spec::{by_name, table2, Suite, WorkloadSpec};

@@ -3,7 +3,8 @@
 # and release), the benchmark smoke run and self-tests, lint-clean
 # clippy across every target, the API docs built with warnings denied, a
 # compile check of the bench code (which `cargo test` does not build, so
-# it could otherwise rot silently), and a smoke run of the
+# it could otherwise rot silently), a rerun of every binary behind
+# results/ diffed against the committed files, and a smoke run of the
 # instrumentation stack (trace_study self-checks its artifacts against
 # end-of-run stats).
 # CI and pre-commit both run exactly this.
@@ -31,7 +32,18 @@ cargo clippy --workspace --all-targets -- -D warnings
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 cargo bench --no-run
 smoke_dir=$(mktemp -d)
-trap 'rm -rf "$smoke_dir"' EXIT
+results_dir=$(mktemp -d)
+trap 'rm -rf "$smoke_dir" "$results_dir"' EXIT
+# results/ freshness: each committed output must be what its binary
+# prints today at its default (paper-scale, seed 42) settings, so
+# results/ and the numbers EXPERIMENTS.md quotes from it cannot drift
+# from the code.
+for f in results/*.txt; do
+    name=$(basename "$f" .txt)
+    cargo run --release -q -p nuat-bench --bin "$name" >"$results_dir/$name.txt" 2>/dev/null
+done
+diff -r results "$results_dir" \
+    || { echo "verify: results/ differs from what its binaries print" >&2; exit 1; }
 cargo run --release -q -p nuat-bench --bin trace_study -- \
     --quick --out "$smoke_dir" --metrics "$smoke_dir/metrics.prom" >/dev/null
 for f in trace.json events.jsonl timeseries.csv metrics.prom metrics.prom.jsonl; do

@@ -3,6 +3,7 @@
 
 use nuat_circuit::PbGrouping;
 use nuat_core::SchedulerKind;
+use nuat_cpu::Trace;
 use nuat_sim::{traces_for, RunConfig, System};
 use nuat_types::{DramGeometry, SystemConfig};
 use nuat_workloads::by_name;
@@ -24,7 +25,10 @@ fn two_channel_system_completes_and_conserves_requests() {
         ..RunConfig::quick()
     };
     let spec = by_name("comm1").unwrap();
-    let traces = traces_for(&[spec], &cfg, &rc);
+    let traces: Vec<Trace> = traces_for(&[spec], &cfg, &rc)
+        .into_iter()
+        .map(Trace::from_source)
+        .collect();
     let expected_reads = traces[0].reads();
     let r =
         System::new(cfg, SchedulerKind::Nuat, PbGrouping::paper(5), traces).run(rc.max_mc_cycles);

@@ -43,7 +43,7 @@ use nuat_cpu::{MemOp, Trace};
 use nuat_obs::{EpochSample, MemorySink, TraceEvent};
 use nuat_sim::{traces_for, RunConfig, SimResult, System};
 use nuat_types::{AddressMapping, SystemConfig, CPU_CYCLES_PER_MC_CYCLE};
-use nuat_workloads::by_name;
+use nuat_workloads::{by_name, WorkloadSpec};
 use proptest::prelude::*;
 
 const WORKLOADS: [&str; 7] = [
@@ -60,6 +60,15 @@ const MAPPINGS: [AddressMapping; 3] = [
     AddressMapping::ClosePageInterleaved,
     AddressMapping::OpenPageXorBank,
 ];
+
+/// [`traces_for`]'s traces collected into memory, for the lockstep
+/// replays that index records.
+fn materialized(specs: &[WorkloadSpec], cfg: &SystemConfig, rc: &RunConfig) -> Vec<Trace> {
+    traces_for(specs, cfg, rc)
+        .into_iter()
+        .map(Trace::from_source)
+        .collect()
+}
 
 /// One sampled configuration.
 #[derive(Debug, Clone, Copy)]
@@ -444,7 +453,7 @@ proptest! {
             mem_ops_per_core: 400,
             ..RunConfig::quick()
         };
-        let trace = traces_for(&[by_name(WORKLOADS[w]).unwrap()], &cfg, &rc).remove(0);
+        let trace = materialized(&[by_name(WORKLOADS[w]).unwrap()], &cfg, &rc).remove(0);
         for scheduler in SCHEDULERS {
             let mut mc = MemoryController::new(cfg, scheduler);
             let mut cycle = 0u64;
@@ -511,7 +520,7 @@ proptest! {
             ..RunConfig::quick()
         };
         let specs = [by_name(WORKLOADS[w0]).unwrap(), by_name(WORKLOADS[w1]).unwrap()];
-        let traces = traces_for(&specs, &cfg, &rc);
+        let traces = materialized(&specs, &cfg, &rc);
         let scheduler = SCHEDULERS[scheduler];
         assert_controllers_in_lockstep(
             cfg,
@@ -684,7 +693,7 @@ fn oracle_matches_across_refresh_batches() {
         ..RunConfig::quick()
     };
     let specs: Vec<_> = workloads.iter().map(|w| by_name(w).unwrap()).collect();
-    let traces = traces_for(&specs, &cfg, &rc);
+    let traces = materialized(&specs, &cfg, &rc);
     for scheduler in SCHEDULERS {
         let what = format!("{scheduler:?} across refresh batches");
         let r = assert_fast_equals_oracle(cfg, scheduler, &grouping, &workloads, &rc, &what);
@@ -741,7 +750,7 @@ fn per_tick_two_channel_goldens_match_oracle() {
     let specs = [by_name("ferret").unwrap(), by_name("comm1").unwrap()];
     for depth in [32, 256] {
         let cfg = stock(2, depth).config(2);
-        let traces = traces_for(&specs, &cfg, &rc);
+        let traces = materialized(&specs, &cfg, &rc);
         for scheduler in SCHEDULERS {
             assert_controllers_in_lockstep(
                 cfg,

@@ -3,10 +3,14 @@
 //! the failure-injection counterpart of the conservativeness property
 //! tests.
 
+use nuat_circuit::PbGrouping;
 use nuat_core::{
-    Candidate, MemoryController, MemoryRequest, PolicyView, RequestKind, SchedulerPolicy,
+    Candidate, MemoryController, MemoryRequest, PolicyView, RequestKind, SchedulerKind,
+    SchedulerPolicy,
 };
+use nuat_sim::{run_mix, RunConfig};
 use nuat_types::{PhysAddr, RowTimings, SystemConfig};
+use nuat_workloads::{Suite, WorkloadSpec};
 
 /// A deliberately broken policy: PB0 timings for every row, regardless
 /// of charge state.
@@ -110,5 +114,59 @@ fn phys_addr_roundtrip_sanity() {
     assert_eq!(
         g.decode(addr, nuat_types::AddressMapping::OpenPageBaseline),
         decoded
+    );
+}
+
+/// A sparse stream of row misses spread over every row of every bank:
+/// most activated rows were last restored by their refresh, not by an
+/// earlier activation, so NUAT's refresh-distance timings are all that
+/// keeps them physical.
+fn scattered() -> WorkloadSpec {
+    WorkloadSpec {
+        name: "scattered",
+        suite: Suite::Spec,
+        mpki: 2.0,
+        row_locality: 0.0,
+        read_fraction: 0.7,
+        streams: 8,
+        footprint_rows: 8192,
+        burst_len: 4,
+        gap_in_burst: 4,
+        phased: false,
+    }
+}
+
+/// NUAT's per-PB timings pass the device's charge check, which allows no
+/// grace, on a run that crosses a whole PRE_PB window: 32 refresh
+/// batches, in which every row's refresh distance grows by 256 rows, so
+/// rows cross every PB boundary. A PBR block that counts rows even one
+/// batch fresher than they are promises too short a tRCD/tRAS to rows
+/// just past a boundary, and the controller panics on the refused ACT.
+#[test]
+fn nuat_timings_stay_physical_across_a_pre_pb_window() {
+    let cfg = SystemConfig::with_cores(1);
+    // One of the 32 PRE_PB windows (#LP) of the row space.
+    let window_rows = cfg.dram.geometry.rows_per_bank / 32;
+    let batches = window_rows / cfg.dram.timings.rows_per_refresh_batch();
+    let rc = RunConfig {
+        mem_ops_per_core: 32_000,
+        ..RunConfig::default()
+    };
+    let r = run_mix(
+        &[scattered()],
+        SchedulerKind::Nuat,
+        PbGrouping::paper(5),
+        &rc,
+    );
+    assert!(r.completed);
+    assert!(
+        r.mc_cycles >= batches * cfg.dram.timings.refresh_batch_interval(),
+        "{} cycles must cover {batches} refresh batches",
+        r.mc_cycles
+    );
+    let acts = r.device.energy.activates;
+    assert!(
+        acts * 10 > rc.mem_ops_per_core as u64 * 9,
+        "{acts} ACTs: nearly every access misses"
     );
 }
