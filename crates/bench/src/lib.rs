@@ -173,6 +173,11 @@ impl<M: nuat_obs::MetricsSink> SaturatedDriver<M> {
         self.mc.now().raw()
     }
 
+    /// The driven controller.
+    pub fn controller(&self) -> &nuat_core::MemoryController<nuat_obs::NullSink, M> {
+        &self.mc
+    }
+
     /// Consumes the driver, yielding the controller and its statistics.
     pub fn into_controller(self) -> nuat_core::MemoryController<nuat_obs::NullSink, M> {
         self.mc

@@ -20,6 +20,17 @@
 //! The last row is the one this paper adds: the device knows when each
 //! row was last restored and rejects an `Activate` whose promised
 //! timings under-run the physical minimum for the row's current charge.
+//!
+//! That knowledge is kept by what a run does, not by the part's row
+//! count. A row's charge is restored by an `Activate` and by the `REF`
+//! that covers its refresh batch, so each rank records the latest `REF`
+//! of every batch position and the latest `Activate` of every row it
+//! has opened, the latter in 512-row pages allocated on a page's first
+//! `Activate`. A row neither has touched since cycle 0 still holds its
+//! steady-state charge, which
+//! [`RefreshEngine::initial_restore_cycle`] computes without stored
+//! state. Construction therefore writes one slot per batch position
+//! and one index entry per page, and a `REF` is one store.
 
 use crate::bank::{BankState, BankView};
 use crate::command::DramCommand;
@@ -202,6 +213,79 @@ impl BankLanes<'_> {
     }
 }
 
+/// Rows per page of activation history: 512 `i64` cycles, 4 KiB.
+const ACT_PAGE_ROWS: usize = 512;
+
+/// A history slot whose event has not happened since cycle 0.
+const NEVER: i64 = i64::MIN;
+
+/// `RestoreHistory::page_of` entry of a page no row has been activated in.
+const NO_PAGE: u32 = u32::MAX;
+
+/// When each row of one rank last had its charge restored, sized by the
+/// rows a run activates rather than by the part's row count.
+///
+/// A row's restore cycle is the later of its batch's latest `REF` and
+/// its own latest `Activate`; while neither has happened it is the
+/// steady-state slot from [`RefreshEngine::initial_restore_cycle`]. The
+/// device accepts a rank's `Activate`s and `REF`s in nondecreasing cycle
+/// order (tRRD, tRC and tRFC space them), so the later of the two
+/// events is the last one, as a per-row table overwritten by both
+/// would hold.
+#[derive(Debug, Clone)]
+struct RestoreHistory {
+    /// Cycle of the latest `REF` of each batch position, [`NEVER`]
+    /// before the first.
+    refreshed_at: Vec<i64>,
+    /// Index into `act_pages` of each (bank, 512-row page), indexed
+    /// `bank * pages_per_bank + row / ACT_PAGE_ROWS`; [`NO_PAGE`] until
+    /// a row of that page is first activated.
+    page_of: Vec<u32>,
+    pages_per_bank: usize,
+    /// Latest `Activate` cycle of each row of an allocated page,
+    /// [`NEVER`] for its rows not yet activated.
+    act_pages: Vec<Box<[i64; ACT_PAGE_ROWS]>>,
+}
+
+impl RestoreHistory {
+    fn new(banks: usize, rows_per_bank: usize, batches: usize) -> Self {
+        let pages_per_bank = rows_per_bank.div_ceil(ACT_PAGE_ROWS);
+        RestoreHistory {
+            refreshed_at: vec![NEVER; batches],
+            page_of: vec![NO_PAGE; banks * pages_per_bank],
+            pages_per_bank,
+            act_pages: Vec::new(),
+        }
+    }
+
+    /// The cycle `row` of `bank` last had its charge restored.
+    #[inline]
+    fn restore_cycle(&self, refresh: &RefreshEngine, bank: usize, row: Row) -> i64 {
+        let r = row.index();
+        let page = self.page_of[bank * self.pages_per_bank + r / ACT_PAGE_ROWS];
+        let activated = if page == NO_PAGE {
+            NEVER
+        } else {
+            self.act_pages[page as usize][r % ACT_PAGE_ROWS]
+        };
+        match self.refreshed_at[refresh.batch_of(row)].max(activated) {
+            NEVER => refresh.initial_restore_cycle(row),
+            last => last,
+        }
+    }
+
+    /// Records an `Activate` of `row` in `bank` at cycle `now`.
+    fn activated(&mut self, bank: usize, row: Row, now: McCycle) {
+        let r = row.index();
+        let page = &mut self.page_of[bank * self.pages_per_bank + r / ACT_PAGE_ROWS];
+        if *page == NO_PAGE {
+            *page = self.act_pages.len() as u32;
+            self.act_pages.push(Box::new([NEVER; ACT_PAGE_ROWS]));
+        }
+        self.act_pages[*page as usize][r % ACT_PAGE_ROWS] = now.raw() as i64;
+    }
+}
+
 /// Per-rank timing and charge state.
 #[derive(Debug, Clone)]
 struct RankState {
@@ -221,9 +305,9 @@ struct RankState {
     powered_down_since: Option<McCycle>,
     /// Accumulated power-down cycles (for the energy model).
     powerdown_cycles: u64,
-    /// Last restore cycle of every row, indexed `bank * rows + row`.
-    /// Signed: steady-state refresh history extends before cycle 0.
-    restore: Vec<i64>,
+    /// When each row last had its charge restored: the latest `REF` per
+    /// batch position and the latest `Activate` per activated row.
+    restore: RestoreHistory,
 }
 
 /// One channel's worth of DDR3 devices. See the module docs.
@@ -261,13 +345,7 @@ impl DramDevice {
         let ranks = (0..cfg.geometry.ranks_per_channel)
             .map(|_| {
                 let refresh = RefreshEngine::new(rows, &cfg.timings);
-                let mut restore = vec![0i64; banks * rows as usize];
-                for b in 0..banks {
-                    for r in 0..rows {
-                        restore[b * rows as usize + r as usize] =
-                            refresh.initial_restore_cycle(Row::new(r as u32));
-                    }
-                }
+                let restore = RestoreHistory::new(banks, rows as usize, refresh.batch_count());
                 RankState {
                     banks: BankLanesOwned::new(banks),
                     act_window: VecDeque::with_capacity(4),
@@ -462,11 +540,12 @@ impl DramDevice {
     }
 
     /// Nanoseconds since `row` in `bank` was last refreshed or restored,
-    /// as of cycle `now`.
+    /// as of cycle `now`. Negative for a row whose steady-state refresh
+    /// slot lies after `now`.
     pub fn elapsed_since_restore_ns(&self, rank: Rank, bank: Bank, row: Row, now: McCycle) -> f64 {
         let rs = &self.ranks[rank.index()];
-        let idx = bank.index() * self.cfg.geometry.rows_per_bank as usize + row.index();
-        (now.raw() as i64 - rs.restore[idx]) as f64 * MC_CYCLE_NS
+        let restore = rs.restore.restore_cycle(&rs.refresh, bank.index(), row);
+        (now.raw() as i64 - restore) as f64 * MC_CYCLE_NS
     }
 
     /// Banks currently holding an open row, across all ranks (an
@@ -670,7 +749,6 @@ impl DramDevice {
             log.record(cmd, now);
         }
         let t = self.cfg.timings;
-        let rows = self.cfg.geometry.rows_per_bank as usize;
         let rank = cmd.rank();
         let rs = &mut self.ranks[rank.index()];
         match cmd {
@@ -692,7 +770,7 @@ impl DramDevice {
                 }
                 rs.act_window.push_back(now);
                 // Activation restores the row's charge.
-                rs.restore[bank.index() * rows + row.index()] = now.raw() as i64;
+                rs.restore.activated(b, row, now);
                 self.stats.energy.activates += 1;
                 let worst = t.worst_case_row();
                 if timings.trcd < worst.trcd || timings.tras < worst.tras {
@@ -763,11 +841,10 @@ impl DramDevice {
             }
 
             DramCommand::Refresh { .. } => {
-                let refreshed = rs.refresh.complete_batch(now);
+                // The batch's rows are restored in every bank of the rank.
+                let batch = rs.refresh.complete_batch(now);
+                rs.restore.refreshed_at[batch] = now.raw() as i64;
                 for b in 0..self.cfg.geometry.banks_per_rank as usize {
-                    for row in &refreshed {
-                        rs.restore[b * rows + row.index()] = now.raw() as i64;
-                    }
                     BankView::push_earliest(&mut rs.banks.earliest_act[b], now + t.trfc);
                 }
                 BankView::push_earliest(&mut rs.ref_ready, now + t.trfc);

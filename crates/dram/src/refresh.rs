@@ -41,8 +41,8 @@ pub enum RefreshUrgency {
 ///
 /// let mut engine = RefreshEngine::new(8192, &DramTimings::default());
 /// assert_eq!(engine.lrra(), Row::new(8191));
-/// engine.complete_batch(engine.next_due());
-/// assert_eq!(engine.lrra(), Row::new(7)); // rows 0..8 refreshed
+/// assert_eq!(engine.complete_batch(engine.next_due()), 0); // rows 0..8
+/// assert_eq!(engine.lrra(), Row::new(7));
 /// assert_eq!(engine.distance(Row::new(8)), 8191); // next deadline
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -163,34 +163,44 @@ impl RefreshEngine {
             .map(McCycle::new)
     }
 
-    /// The rows the next batch will refresh (in every bank of the rank).
-    pub fn next_batch_rows(&self) -> Vec<Row> {
-        (1..=self.batch_rows)
-            .map(|i| Row::new(((self.lrra + i) % self.rows_per_bank) as u32))
-            .collect()
+    /// Number of batch positions in one refresh rotation: batch `k`
+    /// covers rows `k × batch_rows .. (k + 1) × batch_rows`.
+    pub fn batch_count(&self) -> usize {
+        (self.rows_per_bank / self.batch_rows) as usize
+    }
+
+    /// The batch position whose `REF` refreshes `row`.
+    pub fn batch_of(&self, row: Row) -> usize {
+        (row.as_u64() / self.batch_rows) as usize
     }
 
     /// Marks the next batch complete, advancing the LRRA. Returns the
-    /// refreshed rows. Called by the device when a `REF` is issued.
-    pub fn complete_batch(&mut self, now: McCycle) -> Vec<Row> {
+    /// refreshed batch's position (see [`batch_of`](Self::batch_of)),
+    /// whose rows are restored in every bank of the rank. Called by the
+    /// device when a `REF` is issued.
+    pub fn complete_batch(&mut self, now: McCycle) -> usize {
         if now > self.next_due() {
             self.postponed_batches += 1;
         }
-        let rows = self.next_batch_rows();
+        // Batches start at row 0 and the row count is a multiple of the
+        // batch size, so the row after the LRRA always opens a batch.
+        let batch = self.batch_of(Row::new(((self.lrra + 1) % self.rows_per_bank) as u32));
         self.lrra = (self.lrra + self.batch_rows) % self.rows_per_bank;
         self.batches_done += 1;
-        rows
+        batch
     }
 
     /// The simulated cycle (possibly negative: before simulation start)
     /// at which `row` was last refreshed under the steady-state schedule.
-    /// Used to initialize the device's per-row charge state.
+    /// The device falls back to it for a row that has been neither
+    /// activated nor refreshed since cycle 0, so it needs no per-row
+    /// state for the rows a run never touches.
     ///
     /// Rows refresh in batches, so the restore time is the previous
     /// period's completion of the row's batch: batch `k` runs at
     /// `(k + 1) x batch_interval`, one retention window earlier.
     pub fn initial_restore_cycle(&self, row: Row) -> i64 {
-        let batch = row.as_u64() / self.batch_rows;
+        let batch = self.batch_of(row) as u64;
         ((batch + 1) * self.batch_interval) as i64 - self.retention as i64
     }
 
@@ -221,10 +231,10 @@ mod tests {
         let e = engine();
         assert_eq!(e.lrra(), Row::new(8191));
         assert_eq!(e.next_due(), McCycle::new(8 * 6250));
-        assert_eq!(
-            e.next_batch_rows(),
-            (0..8).map(Row::new).collect::<Vec<_>>()
-        );
+        assert_eq!(e.batch_count(), 1024);
+        // The first REF covers rows 0..8: batch 0.
+        assert!((0..8).all(|r| e.batch_of(Row::new(r)) == 0));
+        assert_eq!(e.batch_of(Row::new(8)), 1);
     }
 
     #[test]
@@ -309,9 +319,12 @@ mod tests {
     fn batches_advance_and_wrap() {
         let mut e = engine();
         for k in 0..1024 {
-            let rows = e.complete_batch(McCycle::new((k + 1) * 8 * 6250));
-            assert_eq!(rows[0], Row::new(((k * 8) % 8192) as u32));
-            assert_eq!(rows.len(), 8);
+            let lrra = e.lrra().as_u64();
+            let batch = e.complete_batch(McCycle::new((k + 1) * 8 * 6250));
+            assert_eq!(batch, k as usize);
+            // The batch is the 8 rows after the previous LRRA.
+            assert_eq!(batch, e.batch_of(Row::new(((lrra + 1) % 8192) as u32)));
+            assert_eq!(e.lrra().as_u64(), (lrra + 8) % 8192);
         }
         // One full retention window refreshes every row exactly once.
         assert_eq!(e.lrra(), Row::new(8191));

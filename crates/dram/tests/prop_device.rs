@@ -75,6 +75,66 @@ fn to_command(a: Attempt, timings: &DramTimings) -> Option<DramCommand> {
     })
 }
 
+/// The largest elapsed time since restore, in ns, at which the device's
+/// physical model admits PB0 timings (tRCD 8, tRAS 22), found by
+/// bisection over one retention window.
+fn pb0_crossover_ns(dev: &DramDevice) -> f64 {
+    let physical = dev.physical();
+    let admits = |e: f64| physical.trcd_ok(e, 8) && physical.tras_ok(e, 22);
+    let (mut lo, mut hi) = (0.0, 64.0e6);
+    assert!(admits(lo) && !admits(hi), "PB0 must fit a fresh row only");
+    while hi - lo > 1e-3 {
+        let mid = 0.5 * (lo + hi);
+        if admits(mid) {
+            lo = mid;
+        } else {
+            hi = mid;
+        }
+    }
+    lo
+}
+
+/// Charge safety: PB0 timings (8/22) are accepted if and only if the
+/// row's charge admits them. The device allows no grace, so on every row
+/// of a fresh device an ACT is accepted exactly when the row's time since
+/// restore is at most the physical model's crossover, and a staler row
+/// raises `PhysicalViolation`.
+#[test]
+fn fast_activations_require_fresh_rows() {
+    let dev = DramDevice::new(DramConfig::default());
+    let crossover = pb0_crossover_ns(&dev);
+    let now = McCycle::new(5);
+    let mut accepted = 0;
+    for row in 0..8192 {
+        let (rank, bank, row) = (Rank::new(0), Bank::new(0), Row::new(row));
+        let cmd = DramCommand::Activate {
+            rank,
+            bank,
+            row,
+            timings: RowTimings::new(8, 22, 12),
+        };
+        let elapsed = dev.elapsed_since_restore_ns(rank, bank, row, now);
+        match dev.can_issue(&cmd, now) {
+            Ok(()) => {
+                assert!(
+                    elapsed <= crossover,
+                    "accepted PB0 ACT on a row {elapsed} ns stale (crossover {crossover} ns)"
+                );
+                accepted += 1;
+            }
+            Err(IssueError::PhysicalViolation { .. }) => assert!(
+                elapsed > crossover,
+                "rejected a row {elapsed} ns stale (crossover {crossover} ns)"
+            ),
+            Err(e) => panic!("unexpected rejection: {e}"),
+        }
+    }
+    assert!(
+        0 < accepted && accepted < 8192,
+        "both sides of the crossover must be probed: {accepted} of 8192 rows accepted"
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
 
@@ -145,34 +205,6 @@ proptest! {
                     );
                 }
             }
-        }
-    }
-
-    /// Charge safety: PB0 timings are accepted if and only if the row
-    /// is fresh enough — stale rows must raise `PhysicalViolation`.
-    #[test]
-    fn fast_activations_require_fresh_rows(row in 0u32..8192) {
-        let dev_cfg = DramConfig::default();
-        let mut dev = DramDevice::new(dev_cfg);
-        let cmd = DramCommand::Activate {
-            rank: Rank::new(0),
-            bank: Bank::new(0),
-            row: Row::new(row),
-            timings: RowTimings::new(8, 22, 12),
-        };
-        let now = McCycle::new(5);
-        let elapsed = dev.elapsed_since_restore_ns(Rank::new(0), Bank::new(0), Row::new(row), now);
-        match dev.issue(cmd, now) {
-            Ok(_) => {
-                // Accepted: the row must be within the PB0 budget plus
-                // the device's guard band (one refresh batch).
-                prop_assert!(elapsed <= 6.0e6 + 8.0 * 6250.0 * 1.25 + 1.0,
-                    "accepted PB0 ACT on a row {elapsed} ns stale");
-            }
-            Err(IssueError::PhysicalViolation { .. }) => {
-                prop_assert!(elapsed > 5.9e6, "rejected a fresh row at {elapsed} ns");
-            }
-            Err(e) => prop_assert!(false, "unexpected rejection: {e}"),
         }
     }
 
