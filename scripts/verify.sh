@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
 # Full verification gate: formatting, release build, test suite (debug
-# and release), the benchmark smoke run and self-tests, lint-clean
-# clippy across every target, the API docs built with warnings denied, a
-# compile check of the bench code (which `cargo test` does not build, so
-# it could otherwise rot silently), a rerun of every binary behind
-# results/ diffed against the committed files, and a smoke run of the
+# and release), a check that no test binary registers a test twice, the
+# benchmark smoke run and self-tests, lint-clean clippy across every
+# target, the API docs built with warnings denied, a compile check of
+# the bench code (which `cargo test` does not build, so it could
+# otherwise rot silently), a rerun of every binary behind results/
+# diffed against the committed files, and a smoke run of the
 # instrumentation stack (trace_study self-checks its artifacts against
 # end-of-run stats).
 # CI and pre-commit both run exactly this.
@@ -14,6 +15,13 @@ cd "$(dirname "$0")/.."
 cargo fmt --check
 cargo build --release
 cargo test -q
+# Each test binary lists every test name once: a test registered twice
+# runs twice for the coverage of one run and inflates the pass count.
+cargo test -- --list 2>/dev/null | awk '
+    /: test$/ { if (seen[$0]++) { print "verify: listed twice in one binary: " $0; dup = 1 } }
+    /^[0-9]+ tests?, [0-9]+ benchmarks?$/ { split("", seen) }
+    END { exit dup }
+' >&2 || { echo "verify: a test binary registers a test twice" >&2; exit 1; }
 # The suite again with debug assertions compiled out: release-only
 # arithmetic and the release failure messages must hold too.
 cargo test --release -q

@@ -35,7 +35,9 @@
 //! bare controllers, one production and one reference controller per
 //! channel, comparing the two after every advance. A divergence then
 //! shows at the cycle span where it happens, not only in the end
-//! result.
+//! result. Each production channel's full command log then replays
+//! through `nuat_dram::ReferenceChecker`, which catches a wrong device
+//! rule that both sides share.
 
 use nuat_circuit::PbGrouping;
 use nuat_core::{MemoryController, RequestKind, SchedulerKind};
@@ -322,7 +324,10 @@ fn advance_both(
 /// each record both sides advance by its gap in memory cycles, and
 /// after every `burst` records by a further `idle` cycles, so refresh,
 /// power-down and idle skipping come up. See [`advance_both`] for
-/// `per_cycle`. Returns the reference controllers.
+/// `per_cycle`. After the drain, each production channel's full command
+/// log must replay clean through `ReferenceChecker`: both sides issue
+/// to the same `DramDevice` rules, so a wrong device rule passes the
+/// comparison and shows only there. Returns the reference controllers.
 fn assert_controllers_in_lockstep(
     cfg: SystemConfig,
     scheduler: SchedulerKind,
@@ -339,6 +344,12 @@ fn assert_controllers_in_lockstep(
             .collect()
     };
     let (mut fast, mut slow) = (controllers(), controllers());
+    // At most an ACT, a column and a PRE per request, plus refresh
+    // traffic: a truncated log would fail the replay below.
+    let requests: usize = traces.iter().map(|t| t.records().len()).sum();
+    for mc in &mut fast {
+        mc.enable_command_logging(4 * requests + 4_096);
+    }
     let longest = traces.iter().map(|t| t.records().len()).max().unwrap_or(0);
     let mut replayed = 0usize;
     for i in 0..longest {
@@ -384,6 +395,12 @@ fn assert_controllers_in_lockstep(
     }
     let reads: u64 = slow.iter().map(|mc| mc.stats().reads_completed).sum();
     assert!(reads > 0, "{what}: no read completed");
+    let banks = cfg.dram.geometry.banks_per_rank as u32;
+    for (ch, mc) in fast.iter().enumerate() {
+        let log = mc.device().command_log().expect("logging enabled");
+        log.replay_validate(&cfg.dram.timings, banks)
+            .unwrap_or_else(|e| panic!("{what}, channel {ch}: {e}"));
+    }
     if !per_cycle {
         let skipped: u64 = fast.iter().map(MemoryController::cycles_skipped).sum();
         assert!(skipped > 0, "{what}: the production side never skipped");
